@@ -127,6 +127,22 @@ def parse_documents(path: str, format: str) -> Iterator[tuple[str, str]]:
     return _parse_docs_jsonl(path)
 
 
+def _check_doc_id(doc_id: str, seen: set[str], byte_offset: int,
+                  docs_parsed: int) -> None:
+    """Reject an id that is empty, contains whitespace or repeats one in
+    ``seen``; record it there otherwise.
+
+    Run files are whitespace-separated columns, so an id with whitespace
+    would be written into a run file that cannot be read back.
+    """
+    if doc_id.split() != [doc_id]:
+        raise ParseError(f"document id {doc_id!r} is empty or contains whitespace",
+                         byte_offset=byte_offset, docs_parsed=docs_parsed)
+    if doc_id in seen:
+        raise DuplicateDocIdError(doc_id)
+    seen.add(doc_id)
+
+
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.DOTALL)
 _TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL)
 
@@ -155,9 +171,7 @@ def _parse_trec_sgml(path: str) -> Iterator[tuple[str, str]]:
             raise ParseError("record without <TEXT>",
                              byte_offset=start, docs_parsed=count)
         doc_id = docno.group(1).strip()
-        if doc_id in seen:
-            raise DuplicateDocIdError(doc_id)
-        seen.add(doc_id)
+        _check_doc_id(doc_id, seen, start, count)
         count += 1
         yield doc_id, "\n".join(t.strip() for t in texts)
         pos = end + len(b"</DOC>")
@@ -177,9 +191,7 @@ def _parse_docs_jsonl(path: str) -> Iterator[tuple[str, str]]:
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise ParseError(f"malformed jsonl record ({exc})",
                                      byte_offset=offset, docs_parsed=count) from exc
-                if doc_id in seen:
-                    raise DuplicateDocIdError(doc_id)
-                seen.add(doc_id)
+                _check_doc_id(doc_id, seen, offset, count)
                 count += 1
                 yield doc_id, text
             offset += len(raw)

@@ -22,7 +22,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,58 +46,28 @@ class SgnsConfig:
 
 @dataclass
 class EmbeddingTable:
-    """Term -> dense vector of fixed dimension, plus training metadata."""
-
-    dim: int
-    vectors: dict[str, np.ndarray]
-    metadata: dict = field(default_factory=dict)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.vectors
-
-    @property
-    def vocab(self) -> list[str]:
-        return list(self.vectors)
-
-    def save(self, path: str) -> None:
-        """word2vec text format: `vocab dim` header, then one word per line."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{len(self.vectors)} {self.dim}\n")
-            for word, vec in self.vectors.items():
-                cells = " ".join(f"{x:.17g}" for x in vec)
-                fh.write(f"{word} {cells}\n")
-
-    @classmethod
-    def load(cls, path: str) -> "EmbeddingTable":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            vocab_size, dim = int(header[0]), int(header[1])
-            vectors: dict[str, np.ndarray] = {}
-            for line in fh:
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) != dim + 1:
-                    raise ValueError(f"embedding row has {len(parts) - 1} values, expected {dim}")
-                vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
-        if len(vectors) != vocab_size:
-            raise ValueError("embedding header vocab size does not match rows")
-        return cls(dim=dim, vectors=vectors)
-
-
-@dataclass
-class SgnsModel:
-    """Full trainer state; ``to_table`` keeps only the input vectors."""
+    """A vocabulary and one (V x dim) matrix whose row i is the vector of
+    ``vocab[i]``, plus training metadata."""
 
     vocab: list[str]
-    word_index: dict[str, int]
-    input_vectors: np.ndarray
-    context_vectors: np.ndarray
-    config: SgnsConfig
+    vectors: np.ndarray
+    metadata: dict = field(default_factory=dict)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def to_table(self) -> EmbeddingTable:
-        vectors = {w: self.input_vectors[i].copy() for i, w in enumerate(self.vocab)}
-        return EmbeddingTable(dim=self.config.dim, vectors=vectors,
-                              metadata={"config": self.config.digest(),
-                                        "seed": self.config.seed})
+    def __post_init__(self):
+        self.index = {term: i for i, term in enumerate(self.vocab)}
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    def __contains__(self, term: str) -> bool:
+        return term in self.index
+
+    def get(self, term: str) -> np.ndarray | None:
+        """The term's row, or None for a term outside the vocabulary."""
+        i = self.index.get(term)
+        return None if i is None else self.vectors[i]
 
 
 def sigmoid(x):
@@ -162,7 +132,10 @@ def build_vocab(docs: Sequence[Document], min_count: int) -> tuple[list[str], li
     return [w for w, _ in kept], [c for _, c in kept]
 
 
-def train_sgns_model(docs: Sequence[Document], cfg: SgnsConfig) -> SgnsModel:
+def train_sgns_model(docs: Sequence[Document],
+                     cfg: SgnsConfig) -> tuple[EmbeddingTable, np.ndarray]:
+    """Train; return the input (center-word) vectors as a table and the
+    context-vector matrix, whose rows follow the table's vocabulary."""
     vocab, counts = build_vocab(docs, cfg.min_count)
     if not vocab:
         raise ValueError("vocabulary empty after min_count filtering")
@@ -180,10 +153,12 @@ def train_sgns_model(docs: Sequence[Document], cfg: SgnsConfig) -> SgnsModel:
     sequences = [[word_index[t] for t in doc.tokens if t in word_index]
                  for doc in docs]
 
+    batch = _batch_pairs(vsize, cfg.negatives)
     static_pairs = None
     if cfg.subsample <= 0.0:
         static_pairs = _enumerate_pairs(sequences, cfg.window)
 
+    runs = None
     for epoch in range(cfg.epochs):
         if cfg.epochs > 1:
             frac = epoch / (cfg.epochs - 1)
@@ -199,16 +174,20 @@ def train_sgns_model(docs: Sequence[Document], cfg: SgnsConfig) -> SgnsModel:
                      or rng.random() < np.sqrt(cfg.subsample / freqs[t])]
                     for seq in sequences]
             centers, contexts = _enumerate_pairs(kept, cfg.window)
+            runs = None
 
         n_pairs = len(centers)
         if n_pairs == 0:
             continue
+        if runs is None:
+            runs = _CenterRuns.build(centers, batch, vsize)
         negatives = neg_table[rng.integers(0, len(neg_table),
                                            size=(n_pairs, cfg.negatives))]
-        _run_epoch(emb, ctx, centers, contexts, negatives, lr)
+        _run_epoch(emb, ctx, centers, contexts, negatives, runs, lr)
 
-    return SgnsModel(vocab=vocab, word_index=word_index,
-                     input_vectors=emb, context_vectors=ctx, config=cfg)
+    table = EmbeddingTable(vocab=vocab, vectors=emb,
+                           metadata={"config": cfg.digest(), "seed": cfg.seed})
+    return table, ctx
 
 
 def _enumerate_pairs(sequences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,62 +211,81 @@ def _batch_pairs(vsize: int, negatives: int) -> int:
     return max(1, min(_MAX_BATCH_PAIRS, (2 * vsize) // (negatives + 1)))
 
 
-def _scatter_subtract(matrix: np.ndarray, rows: np.ndarray,
-                      grads: np.ndarray) -> None:
-    """matrix[rows] -= grads with exact accumulation over duplicate rows."""
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    sorted_grads = grads[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_rows)) + 1))
-    matrix[sorted_rows[starts]] -= np.add.reduceat(sorted_grads, starts, axis=0)
+class _CenterRuns(NamedTuple):
+    """How the ``emb`` update groups each batch's pairs by center row.
 
+    Within every batch of ``batch`` consecutive pairs, ``order`` lists the
+    pair offsets stably sorted by center row, so each row's pairs form one
+    run in pair order; ``starts`` gives each run's first offset in that
+    order and ``rows`` its row. Batch i owns runs ``bounds[i]:bounds[i+1]``.
+    It depends on the centers only, so a fixed pair list builds it once.
+    """
 
-# Vocabulary cutoff for the dense batch-coefficient path below.
-_DENSE_COEF_LIMIT = 2_000_000
+    batch: int
+    order: np.ndarray
+    starts: np.ndarray
+    rows: np.ndarray
+    bounds: list[int]
+
+    @classmethod
+    def build(cls, centers: np.ndarray, batch: int, vsize: int) -> "_CenterRuns":
+        position = np.arange(len(centers))
+        batch_of = position // batch
+        order = np.lexsort((centers, batch_of))
+        key = (batch_of * vsize + centers)[order]
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1))
+        bounds = np.searchsorted(starts, np.arange(0, len(centers) + batch, batch))
+        return cls(batch=batch, order=order % batch, starts=starts % batch,
+                   rows=centers[order][starts], bounds=bounds.tolist())
 
 
 def _run_epoch(emb: np.ndarray, ctx: np.ndarray, centers: np.ndarray,
-               contexts: np.ndarray, negatives: np.ndarray, lr: float) -> None:
+               contexts: np.ndarray, negatives: np.ndarray, runs: _CenterRuns,
+               lr: float) -> None:
     n_pairs = len(centers)
     vsize = ctx.shape[0]
     k = negatives.shape[1]
-    batch = _batch_pairs(vsize, k)
-    labels = np.zeros(k + 1)
-    labels[0] = 1.0
-    row_offsets = np.arange(batch)[:, None] * vsize
-    for start in range(0, n_pairs, batch):
+    batch = runs.batch
+    ctx_t = ctx.T  # a view, so it follows the in-place updates of ctx
+    # Each pair's (context, negatives) offsets into its batch's flattened
+    # (pairs x vocabulary) coefficient matrix, for the whole epoch at once.
+    flat_all = np.empty((n_pairs, k + 1), dtype=np.intp)
+    flat_all[:, 0] = contexts
+    flat_all[:, 1:] = negatives
+    flat_all += (np.arange(n_pairs) % batch)[:, None] * vsize
+    flat_all = flat_all.reshape(-1)
+    # Zero between batches: each batch adds its cells in and clears them after.
+    coef_flat = np.zeros(batch * vsize)
+    for i, start in enumerate(range(0, n_pairs, batch)):
         end = min(start + batch, n_pairs)
         b = end - start
-        c = centers[start:end]
-        targets = np.empty((b, k + 1), dtype=np.intp)
-        targets[:, 0] = contexts[start:end]
-        targets[:, 1:] = negatives[start:end]
-        u_rows = emb[c]
-        if b * vsize <= _DENSE_COEF_LIMIT:
-            # For small vocabularies, aggregate the batch through a dense
-            # pair/word coefficient matrix and two matrix products.
-            flat = (targets + row_offsets[:b]).ravel()
-            scores = (u_rows @ ctx.T).ravel()[flat].reshape(b, k + 1)
-            ex = np.exp(-np.abs(scores))
-            sig = np.where(scores >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-            g = (sig - labels) * lr
-            coef = np.bincount(flat, weights=g.ravel(),
-                               minlength=b * vsize).reshape(b, vsize)
-            grad_u = coef @ ctx
-            ctx -= coef.T @ u_rows
-        else:
-            t_rows = ctx[targets]
-            scores = np.einsum("bd,bkd->bk", u_rows, t_rows)
-            g = (sigmoid(scores) - labels) * lr
-            grad_u = np.einsum("bk,bkd->bd", g, t_rows)
-            contrib = (g[:, :, None] * u_rows[:, None, :]).reshape(-1, u_rows.shape[1])
-            _scatter_subtract(ctx, targets.ravel(), contrib)
-        _scatter_subtract(emb, c, grad_u)
+        u_rows = emb[centers[start:end]]
+        # Aggregate the batch through a dense (pairs x vocabulary)
+        # coefficient matrix and two matrix products.
+        flat = flat_all[start * (k + 1):end * (k + 1)]
+        scores = (u_rows @ ctx_t).ravel()[flat]
+        # (sigmoid(score) - label) * lr, with the sigmoid written without
+        # overflow: 1 / (1 + e^-s) for s >= 0, else e^s / (1 + e^s); the
+        # label is 1 for each pair's first target (its context word), else 0
+        ex = np.exp(-np.abs(scores))
+        g = np.where(scores >= 0.0, 1.0, ex)
+        g /= ex + 1.0
+        g[::k + 1] -= 1.0
+        g *= lr
+        np.add.at(coef_flat, flat, g)
+        coef = coef_flat[:b * vsize].reshape(b, vsize)
+        grad_u = coef @ ctx
+        ctx -= coef.T @ u_rows
+        coef_flat[flat] = 0.0
+        # emb[centers] -= grad_u, summing each row's grads in pair order
+        lo, hi = runs.bounds[i], runs.bounds[i + 1]
+        emb[runs.rows[lo:hi]] -= np.add.reduceat(
+            grad_u[runs.order[start:end]], runs.starts[lo:hi], axis=0)
 
 
 def train_sgns(docs: Sequence[Document], cfg: SgnsConfig) -> EmbeddingTable:
     """Train and return the input (center-word) vectors."""
-    return train_sgns_model(docs, cfg).to_table()
+    return train_sgns_model(docs, cfg)[0]
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

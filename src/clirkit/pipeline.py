@@ -19,7 +19,7 @@ import json
 import os
 import zlib
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from clirkit.corpus import (
     BilingualDictionary,
@@ -43,6 +43,7 @@ from clirkit.projection import (
 )
 from clirkit.retrieval import InvertedIndex, QueryModel, RankedList, retrieve
 from clirkit.translation import (
+    FALLBACK_POLICIES,
     TranslationModel,
     cooccur_model,
     interpolate_models,
@@ -75,6 +76,14 @@ class NormalizationSpec:
                                      stemmer=self.stemmer)
 
 
+def _known_keys(cls, raw: dict, where: str) -> dict:
+    """A copy of ``raw``; a key that is not a field of ``cls`` is an error."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return dict(raw)
+
+
 @dataclass
 class PipelineConfig:
     source_docs: str = ""
@@ -105,6 +114,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        if self.fallback not in FALLBACK_POLICIES:
+            raise ValueError(f"unknown fallback {self.fallback!r}, "
+                             f"expected one of {FALLBACK_POLICIES}")
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -114,14 +128,14 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        kwargs = dict(raw)
+        kwargs = _known_keys(cls, raw, "config")
         for key, sub in (("source_normalization", NormalizationSpec),
                          ("target_normalization", NormalizationSpec),
                          ("feedback", FeedbackConfig),
                          ("sgns", SgnsConfig),
                          ("projection", ProjectionConfig)):
             if key in kwargs and isinstance(kwargs[key], dict):
-                kwargs[key] = sub(**kwargs[key])
+                kwargs[key] = sub(**_known_keys(sub, kwargs[key], key))
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -156,10 +170,6 @@ class ExperimentContext:
     dictionary: BilingualDictionary
     topics: list[Topic]
     qrels: dict[str, set[str]] | None = None
-
-    @property
-    def tgt_doc_list(self) -> list[Document]:
-        return list(self.tgt_docs.values())
 
     @classmethod
     def from_config(cls, cfg: PipelineConfig) -> "ExperimentContext":
@@ -267,14 +277,14 @@ def prepare_topic(ctx: ExperimentContext, topic: Topic, cfg: PipelineConfig,
             primary = top1_model(terms, ctx.dictionary)
     elif cfg.method == "cooccur":
         with _stage(diag, "translation_model"):
-            primary = cooccur_model(terms, ctx.dictionary, ctx.tgt_doc_list,
+            primary = cooccur_model(terms, ctx.dictionary, ctx.tgt_docs.values(),
                                     cfg.cooccur_window)
 
     partner: TranslationModel | None = None
     interpolating = cfg.method in ("proj", "mixed")
     if interpolating and (need_partner or cfg.alpha < 1.0 or primary is None):
         with _stage(diag, "partner_model"):
-            partner = cooccur_model(terms, ctx.dictionary, ctx.tgt_doc_list,
+            partner = cooccur_model(terms, ctx.dictionary, ctx.tgt_docs.values(),
                                     cfg.cooccur_window)
 
     if primary is not None:

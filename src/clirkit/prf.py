@@ -100,9 +100,3 @@ def interpolate_query(original: QueryModel, feedback: QueryModel,
         combined[term] = combined.get(term, 0.0) + coeff * w
     return QueryModel(combined)
 
-
-def dump_feedback_model(model: QueryModel, path: str) -> None:
-    """Write `term<TAB>weight` rows, heaviest first, for inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for term, weight in sorted(model.weights.items(), key=lambda kv: (-kv[1], kv[0])):
-            fh.write(f"{term}\t{weight:.10g}\n")

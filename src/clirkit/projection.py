@@ -68,28 +68,6 @@ class ProjectionMatrix:
             raise ValueError(f"expected vector of length {self.n}, got {u.shape}")
         return self.w.T @ u
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{self.n}\n")
-            for row in self.w:
-                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "ProjectionMatrix":
-        with open(path, encoding="utf-8") as fh:
-            n = int(fh.readline())
-            rows = [[float(x) for x in fh.readline().split()] for _ in range(n)]
-        w = np.array(rows)
-        if w.shape != (n, n):
-            raise ValueError("projection matrix file does not match its header")
-        return cls(w=w, n=n)
-
-    def save_train_log(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,objective,eta\n")
-            for epoch, obj, eta in self.train_log:
-                fh.write(f"{epoch},{obj:.17g},{eta:.17g}\n")
-
 
 def extract_pairs(src_emb: EmbeddingTable, tgt_emb: EmbeddingTable,
                   dictionary: BilingualDictionary) -> TranslationPairSet:
@@ -105,11 +83,11 @@ def extract_pairs(src_emb: EmbeddingTable, tgt_emb: EmbeddingTable,
     pairs: list[tuple[str, str]] = []
     sources_seen = 0
     for w_s in sorted(dictionary.entries):
-        if w_s not in src_emb.vectors:
+        if w_s not in src_emb:
             continue
         sources_seen += 1
         for w_t in dictionary.entries[w_s]:
-            if w_t in tgt_emb.vectors:
+            if w_t in tgt_emb:
                 pairs.append((w_s, w_t))
     if not pairs:
         raise NoTranslationPairsError(
@@ -126,8 +104,8 @@ def extract_pairs(src_emb: EmbeddingTable, tgt_emb: EmbeddingTable,
 def _pair_matrices(pairs, src_emb: EmbeddingTable,
                    tgt_emb: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
     plist = pairs.pairs if isinstance(pairs, TranslationPairSet) else list(pairs)
-    u_rows = np.array([src_emb.vectors[s] for s, _ in plist])
-    v_rows = np.array([tgt_emb.vectors[t] for _, t in plist])
+    u_rows = src_emb.vectors[[src_emb.index[s] for s, _ in plist]]
+    v_rows = tgt_emb.vectors[[tgt_emb.index[t] for _, t in plist]]
     return u_rows, v_rows
 
 
@@ -159,15 +137,16 @@ def learn_projection(pairs, src_emb: EmbeddingTable, tgt_emb: EmbeddingTable,
     w = rng.uniform(-cfg.init_range, cfg.init_range, size=(n, n))
     eta = cfg.eta
     order = np.arange(len(u_rows))
+    w_t = w.T  # a view, so it follows the in-place updates of w
+    u_cols = u_rows[:, :, None]
     train_log: list[tuple[int, float, float]] = []
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
         # divergence shows up as a non-finite objective, checked below
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in order:
-                u = u_rows[i]
-                residual = w.T @ u - v_rows[i]
-                w -= eta * np.outer(u, residual)
+            for u, u_col, v in zip(u_rows[order], u_cols[order], v_rows[order]):
+                residual = w_t @ u - v
+                w -= eta * (u_col * residual)  # eta * outer(u, residual)
             resid = u_rows @ w - v_rows
             obj = 0.5 * float(np.sum(resid * resid))
         if not np.isfinite(obj):

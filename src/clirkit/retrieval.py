@@ -153,10 +153,6 @@ class InvertedIndex:
         return index
 
 
-def build_index(docs: Iterable[Document]) -> InvertedIndex:
-    return InvertedIndex.from_documents(docs)
-
-
 def retrieve(query: QueryModel, index: InvertedIndex, mu: float = 1000.0,
              k: int = 10) -> RankedList:
     """Top-k documents by smoothed cross-entropy score.

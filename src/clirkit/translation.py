@@ -1,10 +1,14 @@
 """Term-translation probability models and query-model translation.
 
 Every constructor returns a TranslationModel whose rows are proper
-distributions over dictionary candidates. The embedding-based models
-score candidates by cosine similarity and pass the scores through a
-softmax; the others use dictionary order, uniform mass, or windowed
-co-occurrence evidence.
+distributions over dictionary candidates, built by one shared loop over
+the distinct query terms that owns the fallback policy below. The
+embedding-based models share one scorer: the softmax over the cosines
+between a query vector and each candidate's target vector. For
+``projected_model`` the query vector is the projected source vector
+W^T u; for ``mixed_model`` it is the term's own row in the shared
+space, which is the same model at W = I. The other constructors use
+dictionary order, uniform mass, or windowed co-occurrence evidence.
 
 Fallback policy: a query term without any dictionary entry is always
 dropped (and recorded); a term whose vectors are unusable either gets a
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,12 +32,14 @@ from clirkit.retrieval import QueryModel
 
 FALLBACK_POLICIES = ("uniform_over_candidates", "drop_term")
 
+Row = list[tuple[str, float]]
+
 
 @dataclass
 class TranslationModel:
     """Per source term, a distribution over candidate translations."""
 
-    table: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+    table: dict[str, Row] = field(default_factory=dict)
     fallback: str = "uniform_over_candidates"
     diagnostics: dict = field(default_factory=lambda: {"fallback_terms": [], "dropped_terms": []})
 
@@ -46,13 +52,6 @@ class TranslationModel:
             return None
         return max(row, key=lambda cp: (cp[1], cp[0]))[0]
 
-    def save(self, path: str) -> None:
-        """TSV rows `source<TAB>target<TAB>prob`, grouped by source."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for source in self.table:
-                for target, prob in self.table[source]:
-                    fh.write(f"{source}\t{target}\t{prob:.12g}\n")
-
 
 def softmax_scores(scores: Sequence[float]) -> list[float]:
     """Softmax with max-shift; invariant to adding a constant."""
@@ -64,33 +63,71 @@ def softmax_scores(scores: Sequence[float]) -> list[float]:
     return [e / total for e in exps]
 
 
-def _dedupe(terms: Sequence[str]) -> list[str]:
-    seen = set()
-    out = []
-    for t in terms:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
-
-
-def _uniform_row(candidates: Sequence[str]) -> list[tuple[str, float]]:
+def _uniform_row(candidates: Sequence[str]) -> Row:
     p = 1.0 / len(candidates)
     return [(c, p) for c in candidates]
-
-
-def _apply_fallback(model: TranslationModel, term: str,
-                    candidates: Sequence[str]) -> None:
-    model.diagnostics["fallback_terms"].append(term)
-    if model.fallback == "uniform_over_candidates":
-        model.table[term] = _uniform_row(candidates)
-    else:
-        model.diagnostics["dropped_terms"].append(term)
 
 
 def _check_fallback(fallback: str) -> None:
     if fallback not in FALLBACK_POLICIES:
         raise ValueError(f"unknown fallback policy {fallback!r}")
+
+
+def _build_model(query_terms: Iterable[str], dictionary: BilingualDictionary,
+                 row_for: Callable[[str, tuple[str, ...]], Row | None],
+                 fallback: str = "uniform_over_candidates") -> TranslationModel:
+    """One row per distinct query term, in first-occurrence order.
+
+    A term without a dictionary entry is dropped. ``row_for(term,
+    candidates)`` returns the term's row, or None when the term's vectors
+    are unusable; the fallback policy then decides its row.
+    """
+    _check_fallback(fallback)
+    model = TranslationModel(fallback=fallback)
+    for term in dict.fromkeys(query_terms):
+        candidates = dictionary.entries.get(term)
+        if not candidates:
+            model.diagnostics["dropped_terms"].append(term)
+            continue
+        row = row_for(term, candidates)
+        if row is None:
+            model.diagnostics["fallback_terms"].append(term)
+            if fallback == "drop_term":
+                model.diagnostics["dropped_terms"].append(term)
+                continue
+            row = _uniform_row(candidates)
+        model.table[term] = row
+    return model
+
+
+def _cosine_softmax_model(query_terms: Sequence[str],
+                          query_vector: Callable[[str], np.ndarray | None],
+                          tgt_emb: EmbeddingTable, dictionary: BilingualDictionary,
+                          fallback: str) -> TranslationModel:
+    """Softmax over cosine(query_vector(term), v_candidate) per query term."""
+    def row_for(term: str, candidates: tuple[str, ...]) -> Row | None:
+        u = query_vector(term)
+        if u is None:
+            return None
+        norm_u = float(np.linalg.norm(u))
+        if norm_u == 0.0:
+            return None
+        scored: list[tuple[str, float]] = []
+        for cand in candidates:
+            v = tgt_emb.get(cand)
+            if v is None:
+                continue
+            norm_v = float(np.linalg.norm(v))
+            if norm_v == 0.0:
+                continue
+            cos = float(np.dot(u, v)) / (norm_u * norm_v)
+            scored.append((cand, max(-1.0, min(1.0, cos))))
+        if not scored:
+            return None
+        probs = softmax_scores([s for _, s in scored])
+        return [(c, p) for (c, _), p in zip(scored, probs)]
+
+    return _build_model(query_terms, dictionary, row_for, fallback)
 
 
 def projected_model(query_terms: Sequence[str], w: ProjectionMatrix,
@@ -99,71 +136,30 @@ def projected_model(query_terms: Sequence[str], w: ProjectionMatrix,
                     fallback: str = "uniform_over_candidates") -> TranslationModel:
     """Softmax over cosine(W^T u, v_candidate) per query term.
 
-    Candidates without a target vector are excluded from the softmax;
-    terms with no usable vectors at all take the fallback row.
+    Candidates without a (non-zero) target vector are excluded from the
+    softmax; terms with no usable vectors at all take the fallback row.
     """
-    _check_fallback(fallback)
-    model = TranslationModel(fallback=fallback)
-    for term in _dedupe(query_terms):
-        candidates = dictionary.entries.get(term)
-        if not candidates:
-            model.diagnostics["dropped_terms"].append(term)
-            continue
-        u = src_emb.vectors.get(term)
-        if u is None:
-            _apply_fallback(model, term, candidates)
-            continue
-        projected = w.project(u)
-        norm_p = float(np.linalg.norm(projected))
-        if norm_p == 0.0:
-            _apply_fallback(model, term, candidates)
-            continue
-        scored: list[tuple[str, float]] = []
-        for cand in candidates:
-            v = tgt_emb.vectors.get(cand)
-            if v is None:
-                continue
-            norm_v = float(np.linalg.norm(v))
-            if norm_v == 0.0:
-                continue
-            cos = float(np.dot(projected, v)) / (norm_p * norm_v)
-            scored.append((cand, max(-1.0, min(1.0, cos))))
-        if not scored:
-            _apply_fallback(model, term, candidates)
-            continue
-        probs = softmax_scores([s for _, s in scored])
-        model.table[term] = [(c, p) for (c, _), p in zip(scored, probs)]
-    return model
+    def projected(term: str) -> np.ndarray | None:
+        u = src_emb.get(term)
+        return None if u is None else w.project(u)
+
+    return _cosine_softmax_model(query_terms, projected, tgt_emb, dictionary, fallback)
 
 
 def uniform_model(query_terms: Sequence[str],
                   dictionary: BilingualDictionary) -> TranslationModel:
     """Equal weight on every dictionary candidate."""
-    model = TranslationModel()
-    for term in _dedupe(query_terms):
-        candidates = dictionary.entries.get(term)
-        if not candidates:
-            model.diagnostics["dropped_terms"].append(term)
-            continue
-        model.table[term] = _uniform_row(candidates)
-    return model
+    return _build_model(query_terms, dictionary, lambda term, cands: _uniform_row(cands))
 
 
 def top1_model(query_terms: Sequence[str],
                dictionary: BilingualDictionary) -> TranslationModel:
     """All mass on the first dictionary candidate."""
-    model = TranslationModel()
-    for term in _dedupe(query_terms):
-        candidates = dictionary.entries.get(term)
-        if not candidates:
-            model.diagnostics["dropped_terms"].append(term)
-            continue
-        model.table[term] = [(candidates[0], 1.0)]
-    return model
+    return _build_model(query_terms, dictionary, lambda term, cands: [(cands[0], 1.0)])
 
 
 def cooccur_model(query_terms: Sequence[str], dictionary: BilingualDictionary,
-                  tgt_docs: Sequence[Document], window: int = 4) -> TranslationModel:
+                  tgt_docs: Iterable[Document], window: int = 4) -> TranslationModel:
     """Add-one windowed co-occurrence with the other query terms' candidates.
 
     score(c) = 1 + sum over candidates c' of the other query terms of the
@@ -172,16 +168,11 @@ def cooccur_model(query_terms: Sequence[str], dictionary: BilingualDictionary,
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    model = TranslationModel()
-    terms = _dedupe(query_terms)
-    cand_lists = {t: dictionary.entries.get(t, ()) for t in terms}
+    cand_lists = {t: dictionary.entries.get(t, ()) for t in dict.fromkeys(query_terms)}
     needed = {c for cands in cand_lists.values() for c in cands}
     counts = _window_cooccurrence(tgt_docs, needed, window)
-    for term in terms:
-        candidates = cand_lists[term]
-        if not candidates:
-            model.diagnostics["dropped_terms"].append(term)
-            continue
+
+    def row_for(term: str, candidates: tuple[str, ...]) -> Row:
         partner_cands = [c for other, cands in cand_lists.items()
                          if other != term for c in cands]
         scores = []
@@ -190,11 +181,12 @@ def cooccur_model(query_terms: Sequence[str], dictionary: BilingualDictionary,
                        for pc in partner_cands)
             scores.append(1.0 + hits)
         total = sum(scores)
-        model.table[term] = [(c, s / total) for c, s in zip(candidates, scores)]
-    return model
+        return [(c, s / total) for c, s in zip(candidates, scores)]
+
+    return _build_model(query_terms, dictionary, row_for)
 
 
-def _window_cooccurrence(docs: Sequence[Document], needed: set[str],
+def _window_cooccurrence(docs: Iterable[Document], needed: set[str],
                          window: int) -> dict[tuple[str, str], int]:
     counts: Counter[tuple[str, str]] = Counter()
     for doc in docs:
@@ -221,40 +213,15 @@ def mixed_model(query_terms: Sequence[str], f_s: Sequence[Document],
     document (extra documents on the longer side are ignored), each merge
     is shuffled with the seeded generator, and one embedding space is
     trained on the merged collection. Translation probabilities are the
-    softmax over direct cosines, with no projection.
+    softmax over direct cosines in that space: ``projected_model`` with
+    W = I and the shared table on both sides.
     """
-    _check_fallback(fallback)
+    _check_fallback(fallback)  # before training, not after
     if not f_s or not f_t:
         raise ValueError("both document lists must be non-empty")
     merged = merge_shuffle(f_s, f_t, seed)
     table = train_sgns(merged, replace(cfg, seed=seed))
-    model = TranslationModel(fallback=fallback)
-    for term in _dedupe(query_terms):
-        candidates = dictionary.entries.get(term)
-        if not candidates:
-            model.diagnostics["dropped_terms"].append(term)
-            continue
-        u = table.vectors.get(term)
-        if u is None or float(np.linalg.norm(u)) == 0.0:
-            _apply_fallback(model, term, candidates)
-            continue
-        norm_u = float(np.linalg.norm(u))
-        scored = []
-        for cand in candidates:
-            v = table.vectors.get(cand)
-            if v is None:
-                continue
-            norm_v = float(np.linalg.norm(v))
-            if norm_v == 0.0:
-                continue
-            cos = float(np.dot(u, v)) / (norm_u * norm_v)
-            scored.append((cand, max(-1.0, min(1.0, cos))))
-        if not scored:
-            _apply_fallback(model, term, candidates)
-            continue
-        probs = softmax_scores([s for _, s in scored])
-        model.table[term] = [(c, p) for (c, _), p in zip(scored, probs)]
-    return model
+    return _cosine_softmax_model(query_terms, table.get, table, dictionary, fallback)
 
 
 def merge_shuffle(f_s: Sequence[Document], f_t: Sequence[Document],

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from clirkit.embeddings import EmbeddingTable
 from clirkit.synth import SynthConfig, generate
 
 
@@ -47,3 +49,9 @@ def write_config(tmp_path, cfg_dict, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg_dict, indent=2))
     return str(path)
+
+
+def make_table(mapping) -> EmbeddingTable:
+    """An EmbeddingTable with one row per term of ``mapping``, in its order."""
+    return EmbeddingTable(vocab=list(mapping),
+                          vectors=np.array(list(mapping.values()), dtype=float))

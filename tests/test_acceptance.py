@@ -19,7 +19,7 @@ import pytest
 from scipy import stats
 
 from clirkit.corpus import BilingualDictionary, Document, Topic
-from clirkit.embeddings import EmbeddingTable, SgnsConfig, train_sgns
+from clirkit.embeddings import SgnsConfig
 from clirkit.evaluation import (
     RunFile,
     average_precision,
@@ -55,6 +55,8 @@ from clirkit.translation import (
     uniform_model,
 )
 
+from conftest import make_table
+
 # Frozen configuration of the synthetic end-to-end experiment.
 EXPERIMENT_SEEDS = (101, 202, 303)
 EXPERIMENT_PIPELINE = {
@@ -76,7 +78,7 @@ def _report(name: str) -> None:
 
 
 def _table(rng, terms, dim):
-    return EmbeddingTable(dim=dim, vectors={t: rng.normal(size=dim) for t in terms})
+    return make_table({t: rng.normal(size=dim) for t in terms})
 
 
 def _context(data) -> ExperimentContext:
@@ -122,8 +124,8 @@ def test_c02_rotation_recovery():
     u_rows = rng.normal(size=(m, n))
     u_rows /= np.linalg.norm(u_rows, axis=1, keepdims=True)
     v_rows = u_rows @ rotation
-    src = EmbeddingTable(dim=n, vectors={f"s{i}": u_rows[i] for i in range(m)})
-    tgt = EmbeddingTable(dim=n, vectors={f"t{i}": v_rows[i] for i in range(m)})
+    src = make_table({f"s{i}": u_rows[i] for i in range(m)})
+    tgt = make_table({f"t{i}": v_rows[i] for i in range(m)})
     pairs = [(f"s{i}", f"t{i}") for i in range(m)]
     cfg = ProjectionConfig(eta=0.1, epochs=500, decay=0.995, init_range=1.0, seed=7)
     w = learn_projection(pairs, src, tgt, cfg)
@@ -145,8 +147,8 @@ def test_c03_least_squares_consistency():
         # controlled singular spectrum keeps the instances SGD-reachable
         u_rows = qu[:, :r] @ np.diag(rng.uniform(0.5, 1.5, size=r)) @ qv[:r, :]
         v_rows = rng.normal(size=(m, n))
-        src = EmbeddingTable(dim=n, vectors={f"s{i}": u_rows[i] for i in range(m)})
-        tgt = EmbeddingTable(dim=n, vectors={f"t{i}": v_rows[i] for i in range(m)})
+        src = make_table({f"s{i}": u_rows[i] for i in range(m)})
+        tgt = make_table({f"t{i}": v_rows[i] for i in range(m)})
         pairs = [(f"s{i}", f"t{i}") for i in range(m)]
         w_star = np.linalg.pinv(u_rows.T @ u_rows) @ (u_rows.T @ v_rows)
         f_star = objective(w_star, pairs, src, tgt)

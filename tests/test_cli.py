@@ -4,6 +4,7 @@ import os
 import pytest
 
 from clirkit.cli import main
+from clirkit.pipeline import ExperimentContext, PipelineConfig
 
 from conftest import small_config_dict, write_config
 
@@ -101,3 +102,26 @@ def test_bad_dictionary_reports_stage(workspace, capsys, tmp_path):
     assert rc == 1
     err = capsys.readouterr().err
     assert "target_feedback_retrieval" in err
+
+
+@pytest.mark.parametrize("override, named", [
+    ({"alpah": 0.5}, "alpah"),
+    ({"alpha": 1.5}, "alpha"),
+    ({"fallback": "nope"}, "nope"),
+])
+def test_bad_config_rejected_before_loading(workspace, capsys, tmp_path, monkeypatch,
+                                            override, named):
+    cfg = {**json.loads(open(workspace["config"]).read()), **override}
+    with pytest.raises(ValueError, match=named):
+        PipelineConfig.from_dict(cfg)
+
+    def from_config(cls, cfg):
+        raise AssertionError("config accepted and inputs loaded")
+
+    monkeypatch.setattr(ExperimentContext, "from_config", classmethod(from_config))
+    rc = main(["run", "--config", write_config(tmp_path, cfg, "bad.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err

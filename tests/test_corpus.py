@@ -122,6 +122,17 @@ class TestParseJsonl:
             list(parse_documents(str(path), "jsonl"))
         assert err.value.docs_parsed == 1
 
+    def test_id_with_whitespace_rejected(self, tmp_path):
+        # a run file is whitespace-separated, so such an id could not be read back
+        first = '{"id": "dt1", "text": "a"}\n'
+        path = tmp_path / "c.jsonl"
+        path.write_text(first + '{"id": "dt 00000", "text": "b"}\n')
+        with pytest.raises(ParseError) as err:
+            list(parse_documents(str(path), "jsonl"))
+        assert err.value.byte_offset == len(first)
+        assert err.value.docs_parsed == 1
+        assert "dt 00000" in str(err.value)
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("")

@@ -3,7 +3,6 @@ import pytest
 
 from clirkit.corpus import Document
 from clirkit.embeddings import (
-    EmbeddingTable,
     SgnsConfig,
     build_vocab,
     cosine,
@@ -97,10 +96,10 @@ class TestTraining:
         docs = [Document("d1", tokens)]
         cfg = SgnsConfig(window=1, negatives=1, dim=16, epochs=2,
                          learning_rate=0.05, seed=3)
-        model = train_sgns_model(docs, cfg)
-        u_a = model.input_vectors[model.word_index["a"]]
-        v_b = model.context_vectors[model.word_index["b"]]
-        v_a = model.context_vectors[model.word_index["a"]]
+        table, context_vectors = train_sgns_model(docs, cfg)
+        u_a = table.get("a")
+        v_b = context_vectors[table.index["b"]]
+        v_a = context_vectors[table.index["a"]]
         rng = np.random.default_rng(99)
         v_x = (rng.random(16) - 0.5) / 16
         assert sigmoid(float(u_a @ v_b)) > sigmoid(float(u_a @ v_x))
@@ -111,8 +110,7 @@ class TestTraining:
         docs = [Document("d1", ("a", "b", "c") * 10)]
         table = train_sgns(docs, SgnsConfig(dim=50, epochs=1, seed=0))
         assert table.dim == 50
-        for vec in table.vectors.values():
-            assert vec.shape == (50,)
+        assert table.vectors.shape == (len(table.vocab), 50)
 
     def test_same_seed_identical_tables(self):
         docs = [Document("d1", ("a", "b", "c", "b") * 25)]
@@ -120,14 +118,14 @@ class TestTraining:
         t1 = train_sgns(docs, cfg)
         t2 = train_sgns(docs, cfg)
         assert t1.vocab == t2.vocab
-        for word in t1.vectors:
-            assert np.array_equal(t1.vectors[word], t2.vectors[word])
+        assert np.array_equal(t1.vectors, t2.vectors)
 
     def test_different_seed_differs(self):
         docs = [Document("d1", ("a", "b", "c", "b") * 25)]
         t1 = train_sgns(docs, SgnsConfig(dim=12, epochs=3, seed=11))
         t2 = train_sgns(docs, SgnsConfig(dim=12, epochs=3, seed=12))
-        assert any(not np.array_equal(t1.vectors[w], t2.vectors[w]) for w in t1.vectors)
+        assert t1.vocab == t2.vocab
+        assert not np.array_equal(t1.vectors, t2.vectors)
 
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(ValueError):
@@ -166,22 +164,3 @@ class TestCosine:
         v = np.array([1e-154, 1e-154])
         assert -1.0 <= cosine(v, v) <= 1.0
 
-
-class TestEmbeddingIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        vectors = {f"w{i}": rng.normal(size=6) for i in range(9)}
-        table = EmbeddingTable(dim=6, vectors=vectors)
-        path = tmp_path / "emb.txt"
-        table.save(str(path))
-        loaded = EmbeddingTable.load(str(path))
-        assert loaded.dim == 6
-        assert list(loaded.vectors) == list(vectors)
-        for word in vectors:
-            assert np.array_equal(loaded.vectors[word], vectors[word])
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("2 3\nw1 0.0 0.0 0.0\n")
-        with pytest.raises(ValueError):
-            EmbeddingTable.load(str(path))

@@ -6,7 +6,6 @@ import pytest
 from clirkit.corpus import Document
 from clirkit.prf import (
     FeedbackConfig,
-    dump_feedback_model,
     em_feedback,
     estimate_feedback_model,
     interpolate_query,
@@ -150,11 +149,3 @@ class TestInterpolateQuery:
         mixed = interpolate_query(a, b, 0.3)
         assert sum(mixed.weights.values()) == pytest.approx(1.0, abs=1e-12)
 
-
-def test_dump_feedback_model(tmp_path):
-    model = QueryModel({"alpha": 0.7, "beta": 0.3})
-    path = tmp_path / "fb.tsv"
-    dump_feedback_model(model, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].split("\t") == ["alpha", "0.7"]
-    assert lines[1].split("\t")[0] == "beta"

@@ -14,16 +14,12 @@ from clirkit.projection import (
     objective_gradient,
 )
 
-
-def table(vectors: dict[str, np.ndarray]) -> EmbeddingTable:
-    dim = len(next(iter(vectors.values())))
-    return EmbeddingTable(dim=dim, vectors={k: np.asarray(v, dtype=float)
-                                            for k, v in vectors.items()})
+from conftest import make_table
 
 
 def random_tables(rng, n_terms=50, dim=5):
-    src = table({f"s{i}": rng.normal(size=dim) for i in range(n_terms)})
-    tgt = table({f"t{i}": rng.normal(size=dim) for i in range(n_terms)})
+    src = make_table({f"s{i}": rng.normal(size=dim) for i in range(n_terms)})
+    tgt = make_table({f"t{i}": rng.normal(size=dim) for i in range(n_terms)})
     return src, tgt
 
 
@@ -37,22 +33,22 @@ def random_dictionary(rng, n_terms=50, cands=3) -> BilingualDictionary:
 
 class TestExtractPairs:
     def test_intersection(self):
-        src = table({"a": [1.0, 0.0]})
-        tgt = table({"x": [0.0, 1.0]})
+        src = make_table({"a": [1.0, 0.0]})
+        tgt = make_table({"x": [0.0, 1.0]})
         d = BilingualDictionary(entries={"a": ("x", "y")})
         pairset = extract_pairs(src, tgt, d)
         assert pairset.pairs == [("a", "x")]
 
     def test_disjoint_vocabularies(self):
-        src = table({"a": [1.0]})
-        tgt = table({"zzz": [1.0]})
+        src = make_table({"a": [1.0]})
+        tgt = make_table({"zzz": [1.0]})
         d = BilingualDictionary(entries={"a": ("x",)})
         with pytest.raises(NoTranslationPairsError) as err:
             extract_pairs(src, tgt, d)
         assert err.value.reason == "no_overlap"
 
     def test_empty_dictionary(self):
-        src = table({"a": [1.0]})
+        src = make_table({"a": [1.0]})
         with pytest.raises(NoTranslationPairsError) as err:
             extract_pairs(src, src, BilingualDictionary())
         assert err.value.reason == "empty_dictionary"
@@ -61,21 +57,21 @@ class TestExtractPairs:
         rng = np.random.default_rng(21)
         src, tgt = random_tables(rng)
         # keep only some terms on each side
-        src.vectors = {k: v for k, v in src.vectors.items() if rng.random() < 0.6}
-        tgt.vectors = {k: v for k, v in tgt.vectors.items() if rng.random() < 0.6}
+        src = make_table({k: src.get(k) for k in src.vocab if rng.random() < 0.6})
+        tgt = make_table({k: tgt.get(k) for k in tgt.vocab if rng.random() < 0.6})
         d = random_dictionary(rng)
         expected = []
         for w_s in sorted(d.entries):
             for w_t in d.entries[w_s]:
-                if w_s in src.vectors and w_t in tgt.vectors:
+                if w_s in src and w_t in tgt:
                     expected.append((w_s, w_t))
         got = extract_pairs(src, tgt, d)
         assert got.pairs == expected
         assert got.provenance["pairs_kept"] == len(expected)
 
     def test_source_with_multiple_candidates_yields_multiple_pairs(self):
-        src = table({"a": [1.0]})
-        tgt = table({"x": [1.0], "y": [2.0], "z": [3.0]})
+        src = make_table({"a": [1.0]})
+        tgt = make_table({"x": [1.0], "y": [2.0], "z": [3.0]})
         d = BilingualDictionary(entries={"a": ("z", "x", "y")})
         pairset = extract_pairs(src, tgt, d)
         assert pairset.pairs == [("a", "z"), ("a", "x"), ("a", "y")]
@@ -85,15 +81,15 @@ class TestObjective:
     def test_zero_at_exact_solution(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(3, 3))
-        src = table({"a": [1.0, 0.0, 0.0], "b": [0.0, 2.0, 0.5]})
-        tgt = table({"x": w.T @ np.array([1.0, 0.0, 0.0]),
+        src = make_table({"a": [1.0, 0.0, 0.0], "b": [0.0, 2.0, 0.5]})
+        tgt = make_table({"x": w.T @ np.array([1.0, 0.0, 0.0]),
                      "y": w.T @ np.array([0.0, 2.0, 0.5])})
         pairs = [("a", "x"), ("b", "y")]
         assert objective(w, pairs, src, tgt) == pytest.approx(0.0, abs=1e-24)
 
     def test_hand_value_n1(self):
-        src = table({"a": [2.0]})
-        tgt = table({"x": [6.0]})
+        src = make_table({"a": [2.0]})
+        tgt = make_table({"x": [6.0]})
         w = np.zeros((1, 1))
         assert objective(w, [("a", "x")], src, tgt) == pytest.approx(18.0)
 
@@ -103,7 +99,7 @@ class TestObjective:
         pairs = [(f"s{i}", f"t{i}") for i in range(10)]
         w = np.zeros((4, 4))
         base = objective(w, pairs, src, tgt)
-        doubled = table({k: 2.0 * v for k, v in tgt.vectors.items()})
+        doubled = EmbeddingTable(vocab=tgt.vocab, vectors=2.0 * tgt.vectors)
         assert objective(w, pairs, src, doubled) == pytest.approx(4.0 * base)
 
 
@@ -128,8 +124,8 @@ class TestGradient:
             m, n = 6, 3
             u_rows = rng.normal(size=(m, n))
             v_rows = rng.normal(size=(m, n))
-            src = table({f"s{i}": u_rows[i] for i in range(m)})
-            tgt = table({f"t{i}": v_rows[i] for i in range(m)})
+            src = make_table({f"s{i}": u_rows[i] for i in range(m)})
+            tgt = make_table({f"t{i}": v_rows[i] for i in range(m)})
             pairs = [(f"s{i}", f"t{i}") for i in range(m)]
             w_star = np.linalg.pinv(u_rows.T @ u_rows) @ (u_rows.T @ v_rows)
             grad = objective_gradient(w_star, pairs, src, tgt)
@@ -138,15 +134,15 @@ class TestGradient:
 
 class TestLearnProjection:
     def test_hand_executed_single_update(self):
-        src = table({"a": [2.0]})
-        tgt = table({"x": [6.0]})
+        src = make_table({"a": [2.0]})
+        tgt = make_table({"x": [6.0]})
         cfg = ProjectionConfig(eta=0.1, epochs=1, decay=1.0, init_range=0.0, seed=0)
         w = learn_projection([("a", "x")], src, tgt, cfg)
         assert w.w[0, 0] == pytest.approx(1.2)
 
     def test_satisfied_pairs_leave_w_unchanged(self):
-        src = table({"a": [1.0, 2.0], "b": [3.0, -1.0]})
-        tgt = table({"x": [0.0, 0.0], "y": [0.0, 0.0]})
+        src = make_table({"a": [1.0, 2.0], "b": [3.0, -1.0]})
+        tgt = make_table({"x": [0.0, 0.0], "y": [0.0, 0.0]})
         cfg = ProjectionConfig(eta=0.1, epochs=25, decay=1.0, init_range=0.0, seed=0)
         w = learn_projection([("a", "x"), ("b", "y")], src, tgt, cfg)
         assert np.array_equal(w.w, np.zeros((2, 2)))
@@ -159,8 +155,8 @@ class TestLearnProjection:
         u_rows = rng.normal(size=(m, n))
         u_rows /= np.linalg.norm(u_rows, axis=1, keepdims=True)
         v_rows = u_rows @ q
-        src = table({f"s{i}": u_rows[i] for i in range(m)})
-        tgt = table({f"t{i}": v_rows[i] for i in range(m)})
+        src = make_table({f"s{i}": u_rows[i] for i in range(m)})
+        tgt = make_table({f"t{i}": v_rows[i] for i in range(m)})
         pairs = [(f"s{i}", f"t{i}") for i in range(m)]
         cfg = ProjectionConfig(eta=0.1, epochs=200, decay=0.995, init_range=1.0, seed=1)
         w = learn_projection(pairs, src, tgt, cfg)
@@ -174,8 +170,8 @@ class TestLearnProjection:
         u_rows = rng.normal(size=(m, n))
         u_rows /= np.linalg.norm(u_rows, axis=1, keepdims=True)
         v_rows = u_rows @ q
-        src = table({f"s{i}": u_rows[i] for i in range(m)})
-        tgt = table({f"t{i}": v_rows[i] for i in range(m)})
+        src = make_table({f"s{i}": u_rows[i] for i in range(m)})
+        tgt = make_table({f"t{i}": v_rows[i] for i in range(m)})
         pairs = [(f"s{i}", f"t{i}") for i in range(m)]
         cfg = ProjectionConfig(eta=0.05, epochs=100, decay=0.99, init_range=1.0, seed=2)
         w = learn_projection(pairs, src, tgt, cfg)
@@ -184,16 +180,16 @@ class TestLearnProjection:
             assert later <= earlier + 1e-8
 
     def test_divergence_reports_eta(self):
-        src = table({"a": [200.0]})
-        tgt = table({"x": [1.0]})
+        src = make_table({"a": [200.0]})
+        tgt = make_table({"x": [1.0]})
         cfg = ProjectionConfig(eta=10.0, epochs=50, decay=1.0, init_range=1.0, seed=0)
         with pytest.raises(ValueError) as err:
             learn_projection([("a", "x")] * 50, src, tgt, cfg)
         assert "eta" in str(err.value)
 
     def test_accepts_pairset_wrapper(self):
-        src = table({"a": [1.0]})
-        tgt = table({"x": [2.0]})
+        src = make_table({"a": [1.0]})
+        tgt = make_table({"x": [2.0]})
         pairset = TranslationPairSet(pairs=[("a", "x")])
         cfg = ProjectionConfig(eta=0.2, epochs=100, decay=1.0, init_range=0.0, seed=0)
         w = learn_projection(pairset, src, tgt, cfg)
@@ -223,21 +219,3 @@ class TestProject:
         with pytest.raises(ValueError):
             w.project(np.ones(4))
 
-
-class TestPersistence:
-    def test_matrix_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        w = ProjectionMatrix(w=rng.normal(size=(5, 5)), n=5)
-        path = tmp_path / "w.txt"
-        w.save(str(path))
-        loaded = ProjectionMatrix.load(str(path))
-        assert np.array_equal(loaded.w, w.w)
-
-    def test_train_log_csv(self, tmp_path):
-        w = ProjectionMatrix(w=np.eye(2), n=2,
-                             train_log=[(0, 3.5, 0.1), (1, 1.25, 0.098)])
-        path = tmp_path / "log.csv"
-        w.save_train_log(str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,objective,eta"
-        assert lines[1].startswith("0,3.5")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clirkit.corpus import Document, DuplicateDocIdError
-from clirkit.retrieval import InvertedIndex, QueryModel, build_index, retrieve
+from clirkit.retrieval import InvertedIndex, QueryModel, retrieve
 
 
 def docs_from(layout: dict[str, list[str]]) -> list[Document]:
@@ -94,10 +94,6 @@ class TestBuildIndex:
         docs = [Document("d1", ("a",)), Document("d1", ("b",))]
         with pytest.raises(DuplicateDocIdError):
             InvertedIndex.from_documents(docs)
-
-    def test_build_index_function(self):
-        index = build_index([Document("d1", ("a", "b"))])
-        assert index.total_tokens == 2
 
 
 class TestSmoothedProb:

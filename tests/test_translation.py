@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from clirkit.corpus import BilingualDictionary, Document
-from clirkit.embeddings import EmbeddingTable, SgnsConfig
+from clirkit.embeddings import SgnsConfig, train_sgns
 from clirkit.projection import ProjectionMatrix
 from clirkit.retrieval import QueryModel
 from clirkit.translation import (
@@ -20,11 +21,7 @@ from clirkit.translation import (
     uniform_model,
 )
 
-
-def table(vectors) -> EmbeddingTable:
-    dim = len(next(iter(vectors.values())))
-    return EmbeddingTable(dim=dim, vectors={k: np.asarray(v, dtype=float)
-                                            for k, v in vectors.items()})
+from conftest import make_table
 
 
 def identity(n) -> ProjectionMatrix:
@@ -56,15 +53,15 @@ class TestSoftmax:
 
 class TestProjectedModel:
     def test_single_surviving_candidate(self):
-        src = table({"a": [1.0, 0.0]})
-        tgt = table({"x": [0.5, 0.5]})
+        src = make_table({"a": [1.0, 0.0]})
+        tgt = make_table({"x": [0.5, 0.5]})
         d = BilingualDictionary(entries={"a": ("x", "missing")})
         model = projected_model(["a"], identity(2), src, tgt, d)
         assert model.table["a"] == [("x", 1.0)]
 
     def test_equal_cosines_split_evenly(self):
-        src = table({"a": [1.0, 0.0]})
-        tgt = table({"x": [1.0, 1.0], "y": [1.0, 1.0]})
+        src = make_table({"a": [1.0, 0.0]})
+        tgt = make_table({"x": [1.0, 1.0], "y": [1.0, 1.0]})
         d = BilingualDictionary(entries={"a": ("x", "y")})
         model = projected_model(["a"], identity(2), src, tgt, d)
         probs = dict(model.table["a"])
@@ -72,8 +69,8 @@ class TestProjectedModel:
         assert probs["y"] == pytest.approx(0.5)
 
     def test_softmax_of_unit_and_zero_cosine(self):
-        src = table({"a": [1.0, 0.0]})
-        tgt = table({"x": [2.0, 0.0], "y": [0.0, 3.0]})
+        src = make_table({"a": [1.0, 0.0]})
+        tgt = make_table({"x": [2.0, 0.0], "y": [0.0, 3.0]})
         d = BilingualDictionary(entries={"a": ("x", "y")})
         model = projected_model(["a"], identity(2), src, tgt, d)
         probs = dict(model.table["a"])
@@ -83,7 +80,7 @@ class TestProjectedModel:
     def test_identity_projection_prefers_most_similar_candidate(self):
         rng = np.random.default_rng(7)
         vecs = {f"w{i}": rng.normal(size=6) for i in range(12)}
-        shared = table(vecs)
+        shared = make_table(vecs)
         d = BilingualDictionary(entries={"w0": ("w3", "w5", "w9", "w11")})
         model = projected_model(["w0"], identity(6), shared, shared, d)
         u = vecs["w0"]
@@ -92,24 +89,24 @@ class TestProjectedModel:
         assert model.argmax("w0") == best
 
     def test_missing_source_vector_falls_back_uniform(self):
-        src = table({"other": [1.0]})
-        tgt = table({"x": [1.0], "y": [1.0]})
+        src = make_table({"other": [1.0]})
+        tgt = make_table({"x": [1.0], "y": [1.0]})
         d = BilingualDictionary(entries={"a": ("x", "y")})
         model = projected_model(["a"], identity(1), src, tgt, d)
         assert dict(model.table["a"]) == {"x": 0.5, "y": 0.5}
         assert model.diagnostics["fallback_terms"] == ["a"]
 
     def test_drop_term_policy(self):
-        src = table({"other": [1.0]})
-        tgt = table({"x": [1.0]})
+        src = make_table({"other": [1.0]})
+        tgt = make_table({"x": [1.0]})
         d = BilingualDictionary(entries={"a": ("x",)})
         model = projected_model(["a"], identity(1), src, tgt, d, fallback="drop_term")
         assert "a" not in model.table
         assert model.diagnostics["dropped_terms"] == ["a"]
 
     def test_no_dictionary_entry_recorded(self):
-        src = table({"a": [1.0]})
-        tgt = table({"x": [1.0]})
+        src = make_table({"a": [1.0]})
+        tgt = make_table({"x": [1.0]})
         model = projected_model(["a"], identity(1), src, tgt, BilingualDictionary())
         assert model.table == {}
         assert model.diagnostics["dropped_terms"] == ["a"]
@@ -126,8 +123,8 @@ class TestUniformAndTop1:
         assert uniform_model(["a"], d).table["a"] == [("x", 1.0)]
 
     def test_uniform_equals_projected_under_equal_cosines(self):
-        src = table({"a": [2.0, 0.0]})
-        tgt = table({"x": [1.0, 0.0], "y": [3.0, 0.0], "z": [0.5, 0.0]})
+        src = make_table({"a": [2.0, 0.0]})
+        tgt = make_table({"x": [1.0, 0.0], "y": [3.0, 0.0], "z": [0.5, 0.0]})
         d = BilingualDictionary(entries={"a": ("x", "y", "z")})
         uni = uniform_model(["a"], d)
         proj = projected_model(["a"], identity(2), src, tgt, d)
@@ -234,6 +231,19 @@ class TestMixedModel:
         assert m1.table == m2.table
         assert_rows_normalized(m1)
 
+    def test_equals_projected_model_at_identity(self):
+        f_s, f_t = self.docs()
+        d = BilingualDictionary(entries={"a": ("x", "y"), "b": ("y", "z"), "c": ("z", "q")})
+        cfg = SgnsConfig(window=2, negatives=2, dim=8, epochs=3, learning_rate=0.02)
+        seed = 7
+        terms = ["a", "b", "c", "a", "missing"]
+        shared = train_sgns(merge_shuffle(f_s, f_t, seed), replace(cfg, seed=seed))
+        mixed = mixed_model(terms, f_s, f_t, d, cfg, seed)
+        proj = projected_model(terms, ProjectionMatrix(np.eye(shared.dim), shared.dim),
+                               shared, shared, d)
+        assert mixed.table == proj.table
+        assert mixed.diagnostics == proj.diagnostics
+
 
 class TestInterpolation:
     def p1p2(self):
@@ -328,21 +338,6 @@ class TestTranslateQueryModel:
             translate_query_model(QueryModel({"a": 1.0}), tm)
 
 
-class TestModelSerialization:
-    def test_tsv_rows_grouped_with_full_precision(self, tmp_path):
-        model = TranslationModel(table={
-            "a": [("x", 2.0 / 3.0), ("y", 1.0 / 3.0)],
-            "b": [("z", 1.0)],
-        })
-        path = tmp_path / "tm.tsv"
-        model.save(str(path))
-        lines = [line.split("\t") for line in path.read_text().splitlines()]
-        assert [row[0] for row in lines] == ["a", "a", "b"]
-        assert float(lines[0][2]) == pytest.approx(2.0 / 3.0, abs=1e-11)
-        # at least 10 significant digits survive
-        assert len(lines[0][2].replace("0.", "")) >= 10
-
-
 class TestRowSumsProperty:
     def test_all_constructors_emit_distributions(self):
         rng = np.random.default_rng(29)
@@ -359,8 +354,8 @@ class TestRowSumsProperty:
             src_vecs["padding"] = rng.normal(size=4)
             tgt_vecs = {c: rng.normal(size=4) for c in vocab_t if rng.random() < 0.8}
             tgt_vecs["padding"] = rng.normal(size=4)
-            src = table(src_vecs)
-            tgt = table(tgt_vecs)
+            src = make_table(src_vecs)
+            tgt = make_table(tgt_vecs)
             docs = [Document(f"d{i}", tuple(vocab_t[j] for j in rng.integers(0, 10, 20)))
                     for i in range(3)]
             w = ProjectionMatrix(w=rng.normal(size=(4, 4)), n=4)
