@@ -9,7 +9,7 @@ from clirkit.corpus import (
     Topic,
     normalize,
 )
-from clirkit.embeddings import EmbeddingTable, SgnsConfig, cosine, train_sgns
+from clirkit.embeddings import EmbeddingTable, SgnsConfig, train_sgns
 from clirkit.evaluation import average_precision, paired_ttest, precision_at_k
 from clirkit.prf import FeedbackConfig, estimate_feedback_model, interpolate_query
 from clirkit.projection import (
@@ -33,7 +33,7 @@ from clirkit.translation import (
 
 __all__ = [
     "BilingualDictionary", "Document", "NormalizationPipeline", "Topic",
-    "normalize", "EmbeddingTable", "SgnsConfig", "cosine", "train_sgns",
+    "normalize", "EmbeddingTable", "SgnsConfig", "train_sgns",
     "average_precision", "paired_ttest", "precision_at_k", "FeedbackConfig",
     "estimate_feedback_model", "interpolate_query", "ProjectionConfig",
     "ProjectionMatrix", "extract_pairs", "learn_projection", "InvertedIndex",

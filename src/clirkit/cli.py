@@ -11,7 +11,8 @@ import sys
 
 from clirkit.corpus import load_documents, load_stopwords, parse_qrels, NormalizationPipeline
 from clirkit.evaluation import evaluate_run, paired_ttest, read_run
-from clirkit.pipeline import ExperimentContext, PipelineConfig, PipelineStageError, run_experiment, sweep
+from clirkit.pipeline import (METHODS, ExperimentContext, PipelineConfig, PipelineStageError,
+                              run_experiment, sweep)
 from clirkit.retrieval import InvertedIndex
 from clirkit.synth import SynthConfig, generate
 
@@ -42,12 +43,9 @@ def _cmd_index(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = PipelineConfig.from_file(args.config)
-    if args.method:
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), "method": args.method})
-    if args.alpha is not None:
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), "alpha": args.alpha})
-    if args.tag:
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), "tag": args.tag})
+    overrides = {key: value for key, value in (("method", args.method), ("alpha", args.alpha),
+                                               ("tag", args.tag)) if value is not None}
+    cfg = PipelineConfig.from_dict({**cfg.to_dict(), **overrides})
     ctx = ExperimentContext.from_config(cfg)
     result = run_experiment(ctx, cfg, args.out)
     print(f"run file: {result.run_path}")
@@ -127,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the translation pipeline over all topics")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--method", choices=("proj", "mixed", "uniform", "top1", "cooccur"))
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--tag", default=None)
     p.set_defaults(func=_cmd_run)

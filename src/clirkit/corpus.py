@@ -279,6 +279,7 @@ def parse_topics(path: str, pipeline: NormalizationPipeline,
     if format != "jsonl":
         raise ValueError(f"unknown topic format {format!r}")
     topics: list[Topic] = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -289,6 +290,13 @@ def parse_topics(path: str, pipeline: NormalizationPipeline,
                 topic_id, title = str(obj["id"]), str(obj["title"])
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ParseError(f"malformed topic record ({exc})", line=lineno) from exc
+            # the id is a whitespace-separated column of run files and keys a ranking
+            if topic_id.split() != [topic_id]:
+                raise ParseError(f"topic id {topic_id!r} is empty or contains whitespace",
+                                 line=lineno)
+            if topic_id in seen:
+                raise ParseError(f"duplicate topic id {topic_id!r}", line=lineno)
+            seen.add(topic_id)
             title_terms = tuple(normalize(title, pipeline))
             if not title_terms:
                 raise ParseError("topic title normalizes to nothing", line=lineno)

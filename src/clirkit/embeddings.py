@@ -18,10 +18,8 @@ to 0.75. The learning rate decays linearly from ``learning_rate`` to
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -40,18 +38,14 @@ class SgnsConfig:
     subsample: float = 0.0
     seed: int = 0
 
-    def digest(self) -> str:
-        return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()[:16]
-
 
 @dataclass
 class EmbeddingTable:
     """A vocabulary and one (V x dim) matrix whose row i is the vector of
-    ``vocab[i]``, plus training metadata."""
+    ``vocab[i]``."""
 
     vocab: list[str]
     vectors: np.ndarray
-    metadata: dict = field(default_factory=dict)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,32 +62,6 @@ class EmbeddingTable:
         """The term's row, or None for a term outside the vocabulary."""
         i = self.index.get(term)
         return None if i is None else self.vectors[i]
-
-
-def sigmoid(x):
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
-
-
-def pair_loss(u: np.ndarray, v: np.ndarray, positive: bool) -> float:
-    """Logistic loss of one (center, target) pair: -log sigma(+-u.v)."""
-    s = float(np.dot(u, v))
-    x = -s if positive else s
-    # softplus(x) without overflow for large |x|
-    return max(x, 0.0) + float(np.log1p(np.exp(-abs(x))))
-
-
-def pair_gradients(u: np.ndarray, v: np.ndarray, positive: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(dL/du, dL/dv) of pair_loss at the given vectors."""
-    s = float(np.dot(u, v))
-    g = sigmoid(s) - (1.0 if positive else 0.0)
-    return g * v, g * u
 
 
 def iter_window_pairs(token_ids: Sequence[int], window: int) -> Iterator[tuple[int, int]]:
@@ -185,9 +153,7 @@ def train_sgns_model(docs: Sequence[Document],
                                            size=(n_pairs, cfg.negatives))]
         _run_epoch(emb, ctx, centers, contexts, negatives, runs, lr)
 
-    table = EmbeddingTable(vocab=vocab, vectors=emb,
-                           metadata={"config": cfg.digest(), "seed": cfg.seed})
-    return table, ctx
+    return EmbeddingTable(vocab=vocab, vectors=emb), ctx
 
 
 def _enumerate_pairs(sequences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,16 +252,3 @@ def _run_epoch(emb: np.ndarray, ctx: np.ndarray, centers: np.ndarray,
 def train_sgns(docs: Sequence[Document], cfg: SgnsConfig) -> EmbeddingTable:
     """Train and return the input (center-word) vectors."""
     return train_sgns_model(docs, cfg)[0]
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u||v|), clipped into [-1, 1]; zero vectors are an error."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"vector lengths differ: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine undefined for zero vectors")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))

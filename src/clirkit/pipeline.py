@@ -8,8 +8,8 @@ interpolate the translation model, translate the query model, apply
 mixture feedback in the target collection, and retrieve to depth.
 
 ``run_experiment`` writes one run file plus diagnostics and a manifest of
-config and content hashes; ``sweep`` evaluates an (alpha, n) grid reusing
-the per-topic models that do not depend on alpha.
+config and content hashes; ``sweep`` evaluates an (alpha, n) grid of
+configs reusing the per-topic models that do not depend on alpha.
 """
 
 from __future__ import annotations
@@ -76,12 +76,29 @@ class NormalizationSpec:
                                      stemmer=self.stemmer)
 
 
+# Field types are annotation strings: every config module postpones annotations.
+_NUMBER_TYPES = {"int": int, "float": (int, float)}
+
+
 def _known_keys(cls, raw: dict, where: str) -> dict:
-    """A copy of ``raw``; a key that is not a field of ``cls`` is an error."""
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    """A copy of ``raw``; a key that is not a field of ``cls``, or a number
+    field given anything but a number of its type, is an error."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    for key, value in raw.items():
+        wanted = _NUMBER_TYPES.get(types[key])
+        if wanted and (isinstance(value, bool) or not isinstance(value, wanted)):
+            raise ValueError(f"{where} key {key} must be {types[key]}, got {value!r}")
     return dict(raw)
+
+
+_SUBCONFIGS = (("source_normalization", NormalizationSpec),
+               ("target_normalization", NormalizationSpec),
+               ("feedback", FeedbackConfig),
+               ("sgns", SgnsConfig),
+               ("projection", ProjectionConfig))
 
 
 @dataclass
@@ -112,13 +129,26 @@ class PipelineConfig:
     tag: str = "clirkit"
 
     def __post_init__(self):
+        for key, sub in _SUBCONFIGS:
+            if not isinstance(getattr(self, key), sub):
+                raise ValueError(f"{key} must be an object of {sub.__name__} fields, "
+                                 f"got {getattr(self, key)!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        if not self.mu > 0.0:
+            raise ValueError(f"mu must be positive, got {self.mu!r}")
+        if self.depth < 1:
+            raise ValueError(f"depth must be >= 1, got {self.depth!r}")
+        if self.cooccur_window < 1:
+            raise ValueError(f"cooccur_window must be >= 1, got {self.cooccur_window!r}")
         if self.fallback not in FALLBACK_POLICIES:
             raise ValueError(f"unknown fallback {self.fallback!r}, "
                              f"expected one of {FALLBACK_POLICIES}")
+        # the tag names the run file and is its last column
+        if not isinstance(self.tag, str) or self.tag.split() != [self.tag] or "/" in self.tag:
+            raise ValueError(f"tag {self.tag!r} is empty or contains whitespace or '/'")
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -129,11 +159,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         kwargs = _known_keys(cls, raw, "config")
-        for key, sub in (("source_normalization", NormalizationSpec),
-                         ("target_normalization", NormalizationSpec),
-                         ("feedback", FeedbackConfig),
-                         ("sgns", SgnsConfig),
-                         ("projection", ProjectionConfig)):
+        for key, sub in _SUBCONFIGS:
             if key in kwargs and isinstance(kwargs[key], dict):
                 kwargs[key] = sub(**_known_keys(sub, kwargs[key], key))
         return cls(**kwargs)
@@ -219,9 +245,10 @@ class TopicModels:
     diagnostics: TopicDiagnostics
 
 
-def prepare_topic(ctx: ExperimentContext, topic: Topic, cfg: PipelineConfig,
-                  need_partner: bool = False) -> TopicModels:
-    """Stages up to translation-model construction."""
+def prepare_topic(ctx: ExperimentContext, topic: Topic,
+                  cfg: PipelineConfig) -> TopicModels:
+    """Stages up to translation-model construction; the partner model is
+    built when ``combine_models`` at ``cfg.alpha`` needs it."""
     diag = TopicDiagnostics(topic_id=topic.topic_id, method=cfg.method)
     terms = topic.query_terms(cfg.verbose_queries)
     n = cfg.feedback.num_docs
@@ -282,7 +309,7 @@ def prepare_topic(ctx: ExperimentContext, topic: Topic, cfg: PipelineConfig,
 
     partner: TranslationModel | None = None
     interpolating = cfg.method in ("proj", "mixed")
-    if interpolating and (need_partner or cfg.alpha < 1.0 or primary is None):
+    if interpolating and (cfg.alpha < 1.0 or primary is None):
         with _stage(diag, "partner_model"):
             partner = cooccur_model(terms, ctx.dictionary, ctx.tgt_docs.values(),
                                     cfg.cooccur_window)
@@ -293,10 +320,8 @@ def prepare_topic(ctx: ExperimentContext, topic: Topic, cfg: PipelineConfig,
     return TopicModels(query=q_s, primary=primary, partner=partner, diagnostics=diag)
 
 
-def combine_models(models: TopicModels, cfg: PipelineConfig,
-                   alpha: float | None = None) -> TranslationModel:
-    """Interpolate the embedding model with its partner at alpha."""
-    a = cfg.alpha if alpha is None else alpha
+def combine_models(models: TopicModels, cfg: PipelineConfig) -> TranslationModel:
+    """Interpolate the embedding model with its partner at ``cfg.alpha``."""
     diag = models.diagnostics
     if models.primary is None:
         if models.partner is None:
@@ -305,14 +330,12 @@ def combine_models(models: TopicModels, cfg: PipelineConfig,
         if "partner_only" not in diag.flags:
             diag.flags.append("partner_only")
         return models.partner
-    if cfg.method not in ("proj", "mixed") or a == 1.0:
+    if cfg.method not in ("proj", "mixed") or cfg.alpha == 1.0:
         return models.primary
     if models.partner is None:
         raise PipelineStageError("partner_model", diag.topic_id,
                                  ValueError("interpolation requested but no partner model"))
-    if a == 0.0:
-        return models.partner
-    return interpolate_models(models.primary, models.partner, a)
+    return interpolate_models(models.primary, models.partner, cfg.alpha)
 
 
 def finish_topic(ctx: ExperimentContext, cfg: PipelineConfig, models: TopicModels,
@@ -399,28 +422,35 @@ def sweep(ctx: ExperimentContext, cfg: PipelineConfig, alphas: list[float],
           ns: list[int], outdir: str) -> str:
     """Grid over (alpha, n); one run file per cell plus a MAP CSV.
 
-    For each n the alpha-independent artifacts (feedback sets, embedding
-    spaces, projection, partner model) are built once per topic and
-    shared across the alpha values.
+    Every cell is a ``PipelineConfig`` (``cfg`` with the cell's alpha,
+    feedback-document count and tag), so the whole grid is checked before
+    any file is written or any topic runs. For each n the alpha-independent
+    artifacts (feedback sets, embedding spaces, projection, partner model)
+    are built once per topic, at the smallest alpha, and shared by the
+    cells; each cell then ranks exactly as ``run_topic`` does.
     """
     if ctx.qrels is None:
         raise ValueError("sweep needs qrels to report MAP")
+    if not alphas or not ns:
+        raise ValueError("sweep needs at least one alpha and one n")
+    grid = [[replace(cfg, alpha=a, tag=f"{cfg.tag}-a{a:g}-n{n}",
+                     feedback=replace(cfg.feedback, num_docs=n)) for a in alphas]
+            for n in ns]
     os.makedirs(outdir, exist_ok=True)
+    topics = sorted(ctx.topics, key=lambda t: t.topic_id)
     rows: list[tuple[float, int, float]] = []
-    for n in ns:
-        cfg_n = replace(cfg, feedback=replace(cfg.feedback, num_docs=n))
-        prepared = [(topic, prepare_topic(ctx, topic, cfg_n, need_partner=True))
-                    for topic in sorted(ctx.topics, key=lambda t: t.topic_id)]
-        for alpha in alphas:
+    for cells in grid:
+        shared = replace(cells[0], alpha=min(alphas))
+        prepared = [prepare_topic(ctx, topic, shared) for topic in topics]
+        for cell in cells:
             rankings: dict[str, RankedList] = {}
-            for topic, models in prepared:
-                tm = combine_models(models, cfg_n, alpha=alpha)
-                rankings[topic.topic_id] = finish_topic(ctx, cfg_n, models, tm)
-            tag = f"{cfg.tag}-a{alpha:g}-n{n}"
-            run = RunFile(tag=tag, rankings=rankings)
-            write_run(run, os.path.join(outdir, f"{tag}.run"))
-            report = evaluate_run(run, ctx.qrels, depth=cfg.depth)
-            rows.append((alpha, n, report.map))
+            for topic, models in zip(topics, prepared):
+                tm = combine_models(models, cell)
+                rankings[topic.topic_id] = finish_topic(ctx, cell, models, tm)
+            run = RunFile(tag=cell.tag, rankings=rankings)
+            write_run(run, os.path.join(outdir, f"{cell.tag}.run"))
+            report = evaluate_run(run, ctx.qrels, depth=cell.depth)
+            rows.append((cell.alpha, cell.feedback.num_docs, report.map))
     csv_path = os.path.join(outdir, "sweep.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("alpha,n,map\n")

@@ -31,6 +31,12 @@ class FeedbackConfig:
     em_iters: int = 30
     em_tol: float = 1e-6
 
+    def __post_init__(self):
+        if self.num_docs < 1:
+            raise ValueError(f"num_docs must be >= 1, got {self.num_docs!r}")
+        if self.num_terms < 1:
+            raise ValueError(f"num_terms must be >= 1, got {self.num_terms!r}")
+
 
 def em_feedback(counts: dict[str, int], background: dict[str, float],
                 noise: float, iters: int, tol: float) -> tuple[dict[str, float], list[float]]:

@@ -59,7 +59,6 @@ class ProjectionMatrix:
     w: np.ndarray
     n: int
     train_log: list[tuple[int, float, float]] = field(default_factory=list)
-    seed: int = 0
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """u_hat = W^T u."""
@@ -155,4 +154,4 @@ def learn_projection(pairs, src_emb: EmbeddingTable, tgt_emb: EmbeddingTable,
                 f"(objective not finite); use a smaller eta than {cfg.eta}")
         train_log.append((epoch, obj, eta))
         eta *= cfg.decay
-    return ProjectionMatrix(w=w, n=n, train_log=train_log, seed=cfg.seed)
+    return ProjectionMatrix(w=w, n=n, train_log=train_log)

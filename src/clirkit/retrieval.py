@@ -58,9 +58,6 @@ class QueryModel:
             raise ValueError("empty query")
         return cls(dict(counts))
 
-    def top(self, k: int) -> list[tuple[str, float]]:
-        return sorted(self.weights.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-
 
 @dataclass
 class InvertedIndex:
@@ -92,28 +89,6 @@ class InvertedIndex:
         if self.total_tokens == 0:
             return 0.0
         return self.collection_freq.get(term, 0) / self.total_tokens
-
-    def term_freq(self, term: str, doc_id: str) -> int:
-        for d, tf in self.postings.get(term, ()):
-            if d == doc_id:
-                return tf
-        return 0
-
-    def smoothed_prob(self, term: str, doc_id: str, mu: float) -> float:
-        """Dirichlet-smoothed p(term|doc).
-
-        Returns the pure prior term when tf = 0, and 0 only when the term
-        is absent from the entire collection.
-        """
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        if doc_id not in self.doc_lengths:
-            raise ValueError(f"unknown document id {doc_id!r}")
-        p_c = self.collection_prob(term)
-        if p_c == 0.0:
-            return 0.0
-        tf = self.term_freq(term, doc_id)
-        return (tf + mu * p_c) / (self.doc_lengths[doc_id] + mu)
 
     def save(self, path: str) -> None:
         """Write a line-based text dump that round-trips exactly."""

@@ -40,11 +40,7 @@ class TranslationModel:
     """Per source term, a distribution over candidate translations."""
 
     table: dict[str, Row] = field(default_factory=dict)
-    fallback: str = "uniform_over_candidates"
     diagnostics: dict = field(default_factory=lambda: {"fallback_terms": [], "dropped_terms": []})
-
-    def distribution(self, term: str) -> dict[str, float]:
-        return dict(self.table.get(term, ()))
 
     def argmax(self, term: str) -> str | None:
         row = self.table.get(term)
@@ -83,7 +79,7 @@ def _build_model(query_terms: Iterable[str], dictionary: BilingualDictionary,
     are unusable; the fallback policy then decides its row.
     """
     _check_fallback(fallback)
-    model = TranslationModel(fallback=fallback)
+    model = TranslationModel()
     for term in dict.fromkeys(query_terms):
         candidates = dictionary.entries.get(term)
         if not candidates:
@@ -248,13 +244,11 @@ def interpolate_models(p1: TranslationModel, p2: TranslationModel,
         raise ValueError("alpha must lie in [0, 1]")
     if alpha == 1.0:
         return TranslationModel(table={s: list(row) for s, row in p1.table.items()},
-                                fallback=p1.fallback,
                                 diagnostics={k: list(v) for k, v in p1.diagnostics.items()})
     if alpha == 0.0:
         return TranslationModel(table={s: list(row) for s, row in p2.table.items()},
-                                fallback=p2.fallback,
                                 diagnostics={k: list(v) for k, v in p2.diagnostics.items()})
-    model = TranslationModel(fallback=p1.fallback)
+    model = TranslationModel()
     sources = list(p1.table)
     sources.extend(s for s in p2.table if s not in p1.table)
     for source in sources:

@@ -362,8 +362,8 @@ def test_c08_interpolation_endpoints(tmp_path):
         """Run through the interpolation machinery with the partner built."""
         rankings = {}
         for topic in sorted(ctx.topics, key=lambda t: t.topic_id):
-            models = prepare_topic(ctx, topic, cfg, need_partner=True)
-            tm = combine_models(models, cfg, alpha=alpha)
+            models = prepare_topic(ctx, topic, replace(cfg, alpha=0.0))
+            tm = combine_models(models, replace(cfg, alpha=alpha))
             rankings[topic.topic_id] = finish_topic(ctx, cfg, models, tm)
         run = RunFile(tag=cfg.tag, rankings=rankings)
         path = str(tmp_path / outdir)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from clirkit import pipeline
 from clirkit.cli import main
 from clirkit.pipeline import ExperimentContext, PipelineConfig
 
@@ -108,6 +109,19 @@ def test_bad_dictionary_reports_stage(workspace, capsys, tmp_path):
     ({"alpah": 0.5}, "alpah"),
     ({"alpha": 1.5}, "alpha"),
     ({"fallback": "nope"}, "nope"),
+    ({"alpha": "0.6"}, "alpha"),
+    ({"depth": 10.0}, "depth"),
+    ({"seed": True}, "seed"),
+    ({"sgns": {"dim": "8"}}, "dim"),
+    ({"projection": {"eta": "0.02"}}, "eta"),
+    ({"sgns": 5}, "sgns"),
+    ({"feedback": [5, 20]}, "feedback"),
+    ({"mu": -1}, "mu"),
+    ({"mu": 0.0}, "mu"),
+    ({"depth": 0}, "depth"),
+    ({"cooccur_window": 0}, "cooccur_window"),
+    ({"feedback": {"num_docs": 0}}, "num_docs"),
+    ({"feedback": {"num_terms": 0}}, "num_terms"),
 ])
 def test_bad_config_rejected_before_loading(workspace, capsys, tmp_path, monkeypatch,
                                             override, named):
@@ -125,3 +139,18 @@ def test_bad_config_rejected_before_loading(workspace, capsys, tmp_path, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+def test_bad_sweep_grid_rejected_before_any_topic(workspace, capsys, monkeypatch):
+    def prepare_topic(*args, **kwargs):
+        raise AssertionError("a topic ran before the grid was checked")
+
+    monkeypatch.setattr(pipeline, "prepare_topic", prepare_topic)
+    out = workspace["root"] / "bad-grid"
+    for alphas, ns, named in (("0.5,1.5", "5", "alpha"), ("0.5", "5,0", "num_docs")):
+        rc = main(["sweep", "--config", workspace["config"], "--out", str(out),
+                   "--alphas", alphas, "--ns", ns])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()

@@ -231,3 +231,22 @@ class TestParseTopics:
         path.write_text(json.dumps({"id": "q1", "title": "..."}) + "\n")
         with pytest.raises(ParseError):
             parse_topics(str(path), PLAIN)
+
+    @pytest.mark.parametrize("topic_id", ["q 01", "", "q\t1"])
+    def test_id_empty_or_with_whitespace_rejected(self, tmp_path, topic_id):
+        # a run file is whitespace-separated, so such an id could not be read back
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"id": "q0", "title": "solar"}) + "\n"
+                        + json.dumps({"id": topic_id, "title": "power"}) + "\n")
+        with pytest.raises(ParseError, match="topic id") as err:
+            parse_topics(str(path), PLAIN)
+        assert err.value.line == 2
+
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps({"id": topic_id, "title": title}) + "\n"
+                                for topic_id, title in (("q1", "solar"), ("q2", "wind"),
+                                                        ("q1", "power"))))
+        with pytest.raises(ParseError, match="duplicate topic id 'q1'") as err:
+            parse_topics(str(path), PLAIN)
+        assert err.value.line == 3

@@ -1,44 +1,17 @@
 import numpy as np
 import pytest
+from scipy.special import expit as sigmoid
 
 from clirkit.corpus import Document
 from clirkit.embeddings import (
     SgnsConfig,
     build_vocab,
-    cosine,
     iter_window_pairs,
     negative_distribution,
     negative_table,
-    pair_gradients,
-    pair_loss,
-    sigmoid,
     train_sgns,
     train_sgns_model,
 )
-
-
-class TestPairGradients:
-    def test_matches_central_differences(self):
-        rng = np.random.default_rng(42)
-        h = 1e-6
-        for positive in (True, False):
-            for _ in range(10):
-                u = rng.normal(size=8)
-                v = rng.normal(size=8)
-                gu, gv = pair_gradients(u, v, positive)
-                for i in range(8):
-                    e = np.zeros(8)
-                    e[i] = h
-                    num_u = (pair_loss(u + e, v, positive) - pair_loss(u - e, v, positive)) / (2 * h)
-                    num_v = (pair_loss(u, v + e, positive) - pair_loss(u, v - e, positive)) / (2 * h)
-                    assert abs(gu[i] - num_u) <= 1e-5 * max(1.0, abs(num_u))
-                    assert abs(gv[i] - num_v) <= 1e-5 * max(1.0, abs(num_v))
-
-    def test_sigmoid_range_and_symmetry(self):
-        xs = np.linspace(-30, 30, 101)
-        s = sigmoid(xs)
-        assert np.all(s > 0) and np.all(s < 1)
-        np.testing.assert_allclose(s + sigmoid(-xs), 1.0, atol=1e-12)
 
 
 class TestNegativeSampling:
@@ -82,9 +55,7 @@ class TestVocab:
     def test_order_count_desc_then_term(self):
         docs = [Document("d1", ("b", "b", "a", "a", "c"))]
         vocab, _ = build_vocab(docs, min_count=1)
-        assert vocab == ["a", "b", "c"][:0] or vocab == ["a", "b", "c"] or True
-        assert vocab[0] in ("a", "b") and vocab[-1] == "c"
-        assert vocab == sorted(vocab[:2]) + ["c"]
+        assert vocab == ["a", "b", "c"]
 
 
 class TestTraining:
@@ -130,37 +101,3 @@ class TestTraining:
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(ValueError):
             train_sgns([Document("d1", ("a",))], SgnsConfig(min_count=5, epochs=1))
-
-    def test_metadata_carries_seed_and_config(self):
-        docs = [Document("d1", ("a", "b") * 10)]
-        cfg = SgnsConfig(dim=4, epochs=1, seed=7)
-        table = train_sgns(docs, cfg)
-        assert table.metadata["seed"] == 7
-        assert table.metadata["config"] == cfg.digest()
-
-
-class TestCosine:
-    def test_identical_unit_vectors(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert cosine(e1, e1) == 1.0
-
-    def test_orthogonal(self):
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
-        assert cosine(e1, e2) == 0.0
-
-    def test_hand_value(self):
-        assert cosine(np.array([1.0, 2.0]), np.array([2.0, 1.0])) == pytest.approx(0.8)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cosine(np.zeros(3), np.ones(3))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cosine(np.ones(3), np.ones(4))
-
-    def test_clipped_into_unit_interval(self):
-        v = np.array([1e-154, 1e-154])
-        assert -1.0 <= cosine(v, v) <= 1.0
-

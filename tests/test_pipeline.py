@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from clirkit import pipeline
 from clirkit.corpus import Document
 from clirkit.evaluation import evaluate_run, read_run
 from clirkit.pipeline import (
@@ -38,6 +39,11 @@ class TestConfig:
     def test_unknown_method_rejected(self, small_config):
         with pytest.raises(ValueError):
             PipelineConfig.from_dict({**small_config, "method": "oracle"})
+
+    @pytest.mark.parametrize("tag", ["", "my run", "a/b", "tab\tbed"])
+    def test_tag_that_cannot_name_a_readable_run_file_rejected(self, small_config, tag):
+        with pytest.raises(ValueError, match="tag"):
+            PipelineConfig.from_dict({**small_config, "tag": tag})
 
     def test_derive_seed_stable(self):
         assert derive_seed(3, "q01", "sgns-src") == derive_seed(3, "q01", "sgns-src")
@@ -137,6 +143,25 @@ class TestSweep:
             run = read_run(str(tmp_path / f"grid-a{float(alpha):g}-n{n}.run"))
             again = evaluate_run(run, ctx.qrels, depth=cfg.depth)
             assert f"{again.map:.6f}" == reported
+
+    @pytest.mark.parametrize("alphas, ns", [([], [3]), ([0.5], [])])
+    def test_empty_grid_rejected(self, small_config, tmp_path, alphas, ns):
+        ctx = make_ctx(small_config)
+        with pytest.raises(ValueError, match="at least one alpha and one n"):
+            sweep(ctx, PipelineConfig.from_dict(small_config), alphas, ns,
+                  outdir=str(tmp_path / "grid"))
+        assert not (tmp_path / "grid").exists()
+
+    def test_alpha_one_grid_builds_no_partner(self, small_config, tmp_path, monkeypatch):
+        ctx = make_ctx(small_config)
+        cfg = PipelineConfig.from_dict(small_config)
+
+        def cooccur_model(*args, **kwargs):
+            raise AssertionError("partner model built for an alpha-1 grid")
+
+        monkeypatch.setattr(pipeline, "cooccur_model", cooccur_model)
+        csv_path = sweep(ctx, cfg, alphas=[1.0], ns=[3], outdir=str(tmp_path))
+        assert open(csv_path).read().startswith("alpha,n,map\n1,3,")
 
     def test_singleton_grid_equals_direct_run(self, small_config, tmp_path):
         ctx = make_ctx(small_config)

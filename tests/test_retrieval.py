@@ -60,10 +60,6 @@ class TestQueryModel:
         q = QueryModel.from_terms(["a", "a", "b", "c"])
         assert q.weights == {"a": 0.5, "b": 0.25, "c": 0.25}
 
-    def test_top_orders_by_weight_then_term(self):
-        q = QueryModel({"b": 0.4, "a": 0.4, "c": 0.2})
-        assert q.top(2) == [("a", 0.4), ("b", 0.4)]
-
 
 class TestBuildIndex:
     def test_counts_by_hand(self):
@@ -71,6 +67,7 @@ class TestBuildIndex:
         assert index.collection_freq == {"a": 1, "b": 2}
         assert index.total_tokens == 3
         assert index.doc_lengths == {"d1": 2, "d2": 1}
+        assert index.collection_prob("b") == 2 / 3
 
     def test_empty_stream(self):
         index = InvertedIndex.from_documents([])
@@ -94,40 +91,6 @@ class TestBuildIndex:
         docs = [Document("d1", ("a",)), Document("d1", ("b",))]
         with pytest.raises(DuplicateDocIdError):
             InvertedIndex.from_documents(docs)
-
-
-class TestSmoothedProb:
-    def test_pure_prior_term(self):
-        # tf=0, p(w|C)=0.5, |d|=10, mu=1000 -> 500/1010
-        docs = [Document("d1", tuple(["x"] * 10)),
-                Document("d2", tuple(["w"] * 10 + ["x"] * 10))]
-        index = InvertedIndex.from_documents(docs)
-        assert index.collection_prob("w") == pytest.approx(1 / 3)
-        # construct the quoted case directly: p(w|C)=0.5 via equal counts
-        docs = [Document("d1", tuple(["x"] * 10)), Document("d2", tuple(["w"] * 10))]
-        index = InvertedIndex.from_documents(docs)
-        got = index.smoothed_prob("w", "d1", mu=1000.0)
-        assert got == pytest.approx(1000 * 0.5 / 1010)
-        assert got == pytest.approx(0.49505, abs=1e-5)
-
-    def test_absent_term_is_zero(self):
-        index = InvertedIndex.from_documents([Document("d1", ("a",))])
-        assert index.smoothed_prob("zzz", "d1", mu=1000.0) == 0.0
-
-    def test_small_mu_approaches_mle(self):
-        docs = [Document("d1", ("a", "a", "b", "c")), Document("d2", ("b", "c"))]
-        index = InvertedIndex.from_documents(docs)
-        assert index.smoothed_prob("a", "d1", mu=1e-9) == pytest.approx(0.5, abs=1e-9)
-
-    def test_unknown_doc(self):
-        index = InvertedIndex.from_documents([Document("d1", ("a",))])
-        with pytest.raises(ValueError):
-            index.smoothed_prob("a", "nope", mu=1000.0)
-
-    def test_mu_must_be_positive(self):
-        index = InvertedIndex.from_documents([Document("d1", ("a",))])
-        with pytest.raises(ValueError):
-            index.smoothed_prob("a", "d1", mu=0.0)
 
 
 class TestRetrieve:
