@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: synth, index, run, sweep, eval, compare. Exit code 0 on
+Subcommands: synth, run, sweep, eval, compare. Exit code 0 on
 success, 1 with a stage-tagged message on failure.
 """
 
@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from clirkit.corpus import load_documents, load_stopwords, parse_qrels, NormalizationPipeline
+from clirkit.corpus import parse_qrels
 from clirkit.evaluation import evaluate_run, paired_ttest, read_run
 from clirkit.pipeline import (METHODS, ExperimentContext, PipelineConfig, PipelineStageError,
-                              run_experiment, sweep)
-from clirkit.retrieval import InvertedIndex
+                              run_experiment, sweep, sweep_grid)
 from clirkit.synth import SynthConfig, generate
 
 
@@ -26,18 +25,6 @@ def _cmd_synth(args) -> int:
     paths = data.write(args.out)
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
-    return 0
-
-
-def _cmd_index(args) -> int:
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
-    pipeline = NormalizationPipeline(lowercase=not args.no_lowercase,
-                                     stopwords=stopwords, stemmer=args.stemmer)
-    docs = load_documents(args.docs, args.format, pipeline)
-    index = InvertedIndex.from_documents(docs)
-    index.save(args.out)
-    print(f"indexed {index.num_docs} documents, {len(index.postings)} terms, "
-          f"{index.total_tokens} tokens -> {args.out}")
     return 0
 
 
@@ -58,9 +45,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = PipelineConfig.from_file(args.config)
-    ctx = ExperimentContext.from_config(cfg)
     alphas = [float(a) for a in args.alphas.split(",")]
     ns = [int(n) for n in args.ns.split(",")]
+    sweep_grid(cfg, alphas, ns)  # a bad grid fails before any input is loaded
+    ctx = ExperimentContext.from_config(cfg)
     csv_path = sweep(ctx, cfg, alphas, ns, args.out)
     print(f"sweep results: {csv_path}")
     with open(csv_path, encoding="utf-8") as fh:
@@ -112,15 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-len", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("index", help="build and save an inverted index")
-    p.add_argument("--docs", required=True)
-    p.add_argument("--format", choices=("jsonl", "trec_sgml"), default="jsonl")
-    p.add_argument("--out", required=True)
-    p.add_argument("--no-lowercase", action="store_true")
-    p.add_argument("--stopwords", default=None)
-    p.add_argument("--stemmer", choices=("none", "porter"), default="none")
-    p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("run", help="run the translation pipeline over all topics")
     p.add_argument("--config", required=True, help="JSON config file")

@@ -273,11 +273,8 @@ def parse_qrels(path: str) -> dict[str, set[str]]:
     return qrels
 
 
-def parse_topics(path: str, pipeline: NormalizationPipeline,
-                 format: str = "jsonl") -> list[Topic]:
+def parse_topics(path: str, pipeline: NormalizationPipeline) -> list[Topic]:
     """Parse topics (jsonl with `id`, `title`, optional `desc`)."""
-    if format != "jsonl":
-        raise ValueError(f"unknown topic format {format!r}")
     topics: list[Topic] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:

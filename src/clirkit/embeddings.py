@@ -24,6 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from clirkit.checks import check_number_fields
 from clirkit.corpus import Document
 
 
@@ -35,8 +36,15 @@ class SgnsConfig:
     epochs: int = 100
     learning_rate: float = 0.05
     min_count: int = 1
-    subsample: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        check_number_fields(self)
+        for key in ("dim", "window", "epochs"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
 
 
 @dataclass
@@ -115,43 +123,18 @@ def train_sgns_model(docs: Sequence[Document],
     ctx = np.zeros((vsize, cfg.dim))
 
     neg_table = negative_table(counts)
-    freqs = np.asarray(counts, dtype=float)
-    freqs /= freqs.sum()
-
     sequences = [[word_index[t] for t in doc.tokens if t in word_index]
                  for doc in docs]
-
-    batch = _batch_pairs(vsize, cfg.negatives)
-    static_pairs = None
-    if cfg.subsample <= 0.0:
-        static_pairs = _enumerate_pairs(sequences, cfg.window)
-
-    runs = None
-    for epoch in range(cfg.epochs):
-        if cfg.epochs > 1:
-            frac = epoch / (cfg.epochs - 1)
-        else:
-            frac = 0.0
-        lr = cfg.learning_rate * (1.0 - frac) + (cfg.learning_rate / 100.0) * frac
-
-        if static_pairs is not None:
-            centers, contexts = static_pairs
-        else:
-            kept = [[t for t in seq
-                     if freqs[t] <= cfg.subsample
-                     or rng.random() < np.sqrt(cfg.subsample / freqs[t])]
-                    for seq in sequences]
-            centers, contexts = _enumerate_pairs(kept, cfg.window)
-            runs = None
-
-        n_pairs = len(centers)
-        if n_pairs == 0:
-            continue
-        if runs is None:
-            runs = _CenterRuns.build(centers, batch, vsize)
-        negatives = neg_table[rng.integers(0, len(neg_table),
-                                           size=(n_pairs, cfg.negatives))]
-        _run_epoch(emb, ctx, centers, contexts, negatives, runs, lr)
+    centers, contexts = _enumerate_pairs(sequences, cfg.window)
+    n_pairs = len(centers)
+    if n_pairs:
+        runs = _CenterRuns.build(centers, _batch_pairs(vsize, cfg.negatives), vsize)
+        for epoch in range(cfg.epochs):
+            frac = epoch / (cfg.epochs - 1) if cfg.epochs > 1 else 0.0
+            lr = cfg.learning_rate * (1.0 - frac) + (cfg.learning_rate / 100.0) * frac
+            negatives = neg_table[rng.integers(0, len(neg_table),
+                                               size=(n_pairs, cfg.negatives))]
+            _run_epoch(emb, ctx, centers, contexts, negatives, runs, lr)
 
     return EmbeddingTable(vocab=vocab, vectors=emb), ctx
 

@@ -21,6 +21,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
+from clirkit.checks import check_number_fields
 from clirkit.corpus import (
     BilingualDictionary,
     Document,
@@ -76,21 +77,11 @@ class NormalizationSpec:
                                      stemmer=self.stemmer)
 
 
-# Field types are annotation strings: every config module postpones annotations.
-_NUMBER_TYPES = {"int": int, "float": (int, float)}
-
-
 def _known_keys(cls, raw: dict, where: str) -> dict:
-    """A copy of ``raw``; a key that is not a field of ``cls``, or a number
-    field given anything but a number of its type, is an error."""
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(raw) - set(types))
+    """A copy of ``raw``; a key that is not a field of ``cls`` is an error."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
-    for key, value in raw.items():
-        wanted = _NUMBER_TYPES.get(types[key])
-        if wanted and (isinstance(value, bool) or not isinstance(value, wanted)):
-            raise ValueError(f"{where} key {key} must be {types[key]}, got {value!r}")
     return dict(raw)
 
 
@@ -110,8 +101,6 @@ class PipelineConfig:
     dictionary: str = ""
     topics: str = ""
     qrels: str | None = None
-    source_index: str | None = None
-    target_index: str | None = None
     source_normalization: NormalizationSpec = field(default_factory=NormalizationSpec)
     target_normalization: NormalizationSpec = field(default_factory=NormalizationSpec)
     mu: float = 1000.0
@@ -133,6 +122,7 @@ class PipelineConfig:
             if not isinstance(getattr(self, key), sub):
                 raise ValueError(f"{key} must be an object of {sub.__name__} fields, "
                                  f"got {getattr(self, key)!r}")
+        check_number_fields(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -203,13 +193,9 @@ class ExperimentContext:
         tgt_pipe = cfg.target_normalization.build()
         source = load_documents(cfg.source_docs, cfg.source_format, src_pipe)
         target = load_documents(cfg.target_docs, cfg.target_format, tgt_pipe)
-        src_index = (InvertedIndex.load(cfg.source_index) if cfg.source_index
-                     else InvertedIndex.from_documents(source))
-        tgt_index = (InvertedIndex.load(cfg.target_index) if cfg.target_index
-                     else InvertedIndex.from_documents(target))
         return cls(
-            src_index=src_index,
-            tgt_index=tgt_index,
+            src_index=InvertedIndex.from_documents(source),
+            tgt_index=InvertedIndex.from_documents(target),
             src_docs={d.doc_id: d for d in source},
             tgt_docs={d.doc_id: d for d in target},
             dictionary=parse_dictionary(cfg.dictionary, src_pipe, tgt_pipe),
@@ -418,24 +404,31 @@ def run_experiment(ctx: ExperimentContext, cfg: PipelineConfig,
                             manifest_path=manifest_path)
 
 
+def sweep_grid(cfg: PipelineConfig, alphas: list[float],
+               ns: list[int]) -> list[list[PipelineConfig]]:
+    """The sweep's cells, one row per n: ``cfg`` with the cell's alpha,
+    feedback-document count and tag. Building them checks the whole grid
+    and that ``cfg`` names qrels, so it needs no loaded input."""
+    if not cfg.qrels:
+        raise ValueError("sweep needs qrels to report MAP")
+    if not alphas or not ns:
+        raise ValueError("sweep needs at least one alpha and one n")
+    return [[replace(cfg, alpha=a, tag=f"{cfg.tag}-a{a:g}-n{n}",
+                     feedback=replace(cfg.feedback, num_docs=n)) for a in alphas]
+            for n in ns]
+
+
 def sweep(ctx: ExperimentContext, cfg: PipelineConfig, alphas: list[float],
           ns: list[int], outdir: str) -> str:
     """Grid over (alpha, n); one run file per cell plus a MAP CSV.
 
-    Every cell is a ``PipelineConfig`` (``cfg`` with the cell's alpha,
-    feedback-document count and tag), so the whole grid is checked before
+    The cells come from ``sweep_grid``, so the whole grid is checked before
     any file is written or any topic runs. For each n the alpha-independent
     artifacts (feedback sets, embedding spaces, projection, partner model)
     are built once per topic, at the smallest alpha, and shared by the
     cells; each cell then ranks exactly as ``run_topic`` does.
     """
-    if ctx.qrels is None:
-        raise ValueError("sweep needs qrels to report MAP")
-    if not alphas or not ns:
-        raise ValueError("sweep needs at least one alpha and one n")
-    grid = [[replace(cfg, alpha=a, tag=f"{cfg.tag}-a{a:g}-n{n}",
-                     feedback=replace(cfg.feedback, num_docs=n)) for a in alphas]
-            for n in ns]
+    grid = sweep_grid(cfg, alphas, ns)
     os.makedirs(outdir, exist_ok=True)
     topics = sorted(ctx.topics, key=lambda t: t.topic_id)
     rows: list[tuple[float, int, float]] = []

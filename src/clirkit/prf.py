@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from clirkit.checks import check_number_fields
 from clirkit.corpus import Document
 from clirkit.retrieval import InvertedIndex, QueryModel
 
@@ -32,10 +33,15 @@ class FeedbackConfig:
     em_tol: float = 1e-6
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.num_docs < 1:
             raise ValueError(f"num_docs must be >= 1, got {self.num_docs!r}")
         if self.num_terms < 1:
             raise ValueError(f"num_terms must be >= 1, got {self.num_terms!r}")
+        if not 0.0 < self.noise < 1.0:
+            raise ValueError(f"noise must lie in (0, 1), got {self.noise!r}")
+        if not 0.0 <= self.interp_coeff <= 1.0:
+            raise ValueError(f"interp_coeff must lie in [0, 1], got {self.interp_coeff!r}")
 
 
 def em_feedback(counts: dict[str, int], background: dict[str, float],

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from clirkit.checks import check_number_fields
 from clirkit.corpus import BilingualDictionary
 from clirkit.embeddings import EmbeddingTable
 
@@ -50,6 +51,7 @@ class ProjectionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.eta <= 0:
             raise ValueError("eta must be positive")
 

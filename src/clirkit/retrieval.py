@@ -30,8 +30,6 @@ from clirkit.corpus import Document, DuplicateDocIdError
 
 RankedList = list[tuple[str, float]]
 
-_INDEX_MAGIC = "clirkit.index v1"
-
 
 @dataclass
 class QueryModel:
@@ -80,52 +78,11 @@ class InvertedIndex:
                 index.collection_freq[term] = index.collection_freq.get(term, 0) + tf
         return index
 
-    @property
-    def num_docs(self) -> int:
-        return len(self.doc_lengths)
-
     def collection_prob(self, term: str) -> float:
         """p(term|C); 0 for terms absent from the collection."""
         if self.total_tokens == 0:
             return 0.0
         return self.collection_freq.get(term, 0) / self.total_tokens
-
-    def save(self, path: str) -> None:
-        """Write a line-based text dump that round-trips exactly."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{_INDEX_MAGIC}\n")
-            fh.write(f"docs\t{len(self.doc_lengths)}\ttotal\t{self.total_tokens}\n")
-            for doc_id, length in self.doc_lengths.items():
-                fh.write(f"D\t{doc_id}\t{length}\n")
-            for term in sorted(self.postings):
-                cells = "\t".join(f"{d}\t{tf}" for d, tf in self.postings[term])
-                fh.write(f"P\t{term}\t{cells}\n")
-
-    @classmethod
-    def load(cls, path: str) -> "InvertedIndex":
-        index = cls()
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != _INDEX_MAGIC:
-                raise ValueError(f"not a {_INDEX_MAGIC} file: {path}")
-            counts = fh.readline().rstrip("\n").split("\t")
-            expected_docs, expected_total = int(counts[1]), int(counts[3])
-            for raw in fh:
-                parts = raw.rstrip("\n").split("\t")
-                if parts[0] == "D":
-                    index.doc_lengths[parts[1]] = int(parts[2])
-                elif parts[0] == "P":
-                    term = parts[1]
-                    plist = [(parts[i], int(parts[i + 1]))
-                             for i in range(2, len(parts), 2)]
-                    index.postings[term] = plist
-                    index.collection_freq[term] = sum(tf for _, tf in plist)
-                else:
-                    raise ValueError(f"unknown index record {parts[0]!r}")
-        index.total_tokens = sum(index.doc_lengths.values())
-        if len(index.doc_lengths) != expected_docs or index.total_tokens != expected_total:
-            raise ValueError("index header counts do not match records")
-        return index
 
 
 def retrieve(query: QueryModel, index: InvertedIndex, mu: float = 1000.0,

@@ -35,15 +35,6 @@ def test_synth_writes_all_files(workspace):
         assert os.path.exists(path)
 
 
-def test_index_round_trip(workspace, capsys):
-    out = str(workspace["root"] / "src.idx")
-    rc = main(["index", "--docs", workspace["paths"]["source_docs"],
-               "--format", "jsonl", "--out", out])
-    assert rc == 0
-    assert "indexed 40 documents" in capsys.readouterr().out
-    assert os.path.exists(out)
-
-
 def test_run_eval_compare(workspace, capsys):
     root = workspace["root"]
     rc = main(["run", "--config", workspace["config"], "--out", str(root / "uni"),
@@ -122,6 +113,15 @@ def test_bad_dictionary_reports_stage(workspace, capsys, tmp_path):
     ({"cooccur_window": 0}, "cooccur_window"),
     ({"feedback": {"num_docs": 0}}, "num_docs"),
     ({"feedback": {"num_terms": 0}}, "num_terms"),
+    ({"feedback": {"noise": 1.5}}, "noise"),
+    ({"feedback": {"noise": 0.0}}, "noise"),
+    ({"feedback": {"interp_coeff": 1.2}}, "interp_coeff"),
+    ({"sgns": {"dim": 0}}, "dim"),
+    ({"sgns": {"window": 0}}, "window"),
+    ({"sgns": {"epochs": 0}}, "epochs"),
+    ({"sgns": {"learning_rate": 0.0}}, "learning_rate"),
+    ({"source_index": "x.idx"}, "source_index"),
+    ({"sgns": {"subsample": 0.001}}, "subsample"),
 ])
 def test_bad_config_rejected_before_loading(workspace, capsys, tmp_path, monkeypatch,
                                             override, named):
@@ -141,14 +141,22 @@ def test_bad_config_rejected_before_loading(workspace, capsys, tmp_path, monkeyp
     assert "Traceback" not in err
 
 
-def test_bad_sweep_grid_rejected_before_any_topic(workspace, capsys, monkeypatch):
+def test_bad_sweep_grid_rejected_before_any_topic(workspace, capsys, monkeypatch, tmp_path):
     def prepare_topic(*args, **kwargs):
         raise AssertionError("a topic ran before the grid was checked")
 
+    def from_config(cls, cfg):
+        raise AssertionError("inputs loaded before the grid was checked")
+
     monkeypatch.setattr(pipeline, "prepare_topic", prepare_topic)
+    monkeypatch.setattr(ExperimentContext, "from_config", classmethod(from_config))
+    no_qrels = write_config(tmp_path, {**json.loads(open(workspace["config"]).read()),
+                                       "qrels": None}, "no-qrels.json")
     out = workspace["root"] / "bad-grid"
-    for alphas, ns, named in (("0.5,1.5", "5", "alpha"), ("0.5", "5,0", "num_docs")):
-        rc = main(["sweep", "--config", workspace["config"], "--out", str(out),
+    for config, alphas, ns, named in ((workspace["config"], "0.5,1.5", "5", "alpha"),
+                                      (workspace["config"], "0.5", "5,0", "num_docs"),
+                                      (no_qrels, "0.5", "5", "qrels")):
+        rc = main(["sweep", "--config", config, "--out", str(out),
                    "--alphas", alphas, "--ns", ns])
         assert rc == 1
         err = capsys.readouterr().err

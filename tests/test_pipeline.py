@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -44,6 +45,16 @@ class TestConfig:
     def test_tag_that_cannot_name_a_readable_run_file_rejected(self, small_config, tag):
         with pytest.raises(ValueError, match="tag"):
             PipelineConfig.from_dict({**small_config, "tag": tag})
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda cfg: PipelineConfig(alpha="0.6"), "alpha"),
+        (lambda cfg: replace(cfg, depth=10.0), "depth"),
+        (lambda cfg: replace(cfg, seed=True), "seed"),
+        (lambda cfg: replace(cfg, sgns=replace(cfg.sgns, dim="8")), "dim"),
+    ])
+    def test_wrong_number_type_rejected_outside_from_dict(self, small_config, build, named):
+        with pytest.raises(ValueError, match=rf"\b{named} must be"):
+            build(PipelineConfig.from_dict(small_config))
 
     def test_derive_seed_stable(self):
         assert derive_seed(3, "q01", "sgns-src") == derive_seed(3, "q01", "sgns-src")
@@ -106,19 +117,6 @@ class TestDeterminismAndCaching:
         for name in ("testrun.run", "testrun.manifest.json", "testrun.diagnostics.json"):
             assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "two" / name,
                                shallow=False), name
-
-    def test_prebuilt_index_equals_fresh_build(self, small_config, tmp_path):
-        cfg = PipelineConfig.from_dict(small_config)
-        ctx_fresh = make_ctx(small_config)
-        ctx_fresh.src_index.save(str(tmp_path / "src.idx"))
-        ctx_fresh.tgt_index.save(str(tmp_path / "tgt.idx"))
-        cached_cfg = {**small_config,
-                      "source_index": str(tmp_path / "src.idx"),
-                      "target_index": str(tmp_path / "tgt.idx")}
-        ctx_cached = make_ctx(cached_cfg)
-        out_fresh = run_experiment(ctx_fresh, cfg, str(tmp_path / "fresh"))
-        out_cached = run_experiment(ctx_cached, cfg, str(tmp_path / "cached"))
-        assert filecmp.cmp(out_fresh.run_path, out_cached.run_path, shallow=False)
 
     def test_manifest_lists_hashes(self, small_config, tmp_path):
         cfg = PipelineConfig.from_dict(small_config)

@@ -72,7 +72,7 @@ class TestBuildIndex:
     def test_empty_stream(self):
         index = InvertedIndex.from_documents([])
         assert index.total_tokens == 0
-        assert index.num_docs == 0
+        assert index.doc_lengths == {}
 
     def test_invariants_on_random_docs(self):
         rng = np.random.default_rng(7)
@@ -162,23 +162,3 @@ class TestRetrieve:
         b = retrieve(query, InvertedIndex.from_documents(list(reversed(docs))), mu=300.0, k=25)
         assert a == b
 
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        docs = random_docs(rng, 30)
-        index = InvertedIndex.from_documents(docs)
-        path = tmp_path / "idx.txt"
-        index.save(str(path))
-        loaded = InvertedIndex.load(str(path))
-        assert loaded == index
-        # a second save round-trips the file bytes exactly
-        path2 = tmp_path / "idx2.txt"
-        loaded.save(str(path2))
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_header_validated(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("something else\n")
-        with pytest.raises(ValueError):
-            InvertedIndex.load(str(path))
