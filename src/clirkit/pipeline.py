@@ -8,8 +8,9 @@ interpolate the translation model, translate the query model, apply
 mixture feedback in the target collection, and retrieve to depth.
 
 ``run_experiment`` writes one run file plus diagnostics and a manifest of
-config and content hashes; ``sweep`` evaluates an (alpha, n) grid of
-configs reusing the per-topic models that do not depend on alpha.
+config, content hashes and numpy version; ``sweep`` evaluates an
+(alpha, n) grid of configs reusing the per-topic models that do not
+depend on alpha.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import os
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+
+import numpy as np
 
 from clirkit.checks import check_number_fields
 from clirkit.corpus import (
@@ -290,14 +293,14 @@ def prepare_topic(ctx: ExperimentContext, topic: Topic,
             primary = top1_model(terms, ctx.dictionary)
     elif cfg.method == "cooccur":
         with _stage(diag, "translation_model"):
-            primary = cooccur_model(terms, ctx.dictionary, ctx.tgt_docs.values(),
+            primary = cooccur_model(terms, ctx.dictionary, ctx.tgt_index,
                                     cfg.cooccur_window)
 
     partner: TranslationModel | None = None
     interpolating = cfg.method in ("proj", "mixed")
     if interpolating and (cfg.alpha < 1.0 or primary is None):
         with _stage(diag, "partner_model"):
-            partner = cooccur_model(terms, ctx.dictionary, ctx.tgt_docs.values(),
+            partner = cooccur_model(terms, ctx.dictionary, ctx.tgt_index,
                                     cfg.cooccur_window)
 
     if primary is not None:
@@ -389,7 +392,10 @@ def run_experiment(ctx: ExperimentContext, cfg: PipelineConfig,
             ("target_docs", cfg.target_docs),
             ("dictionary", cfg.dictionary),
             ("topics", cfg.topics),
+            ("qrels", cfg.qrels),
         ) if path},
+        # scores are numpy float64 sums, so byte identity holds per numpy version
+        "numpy_version": np.__version__,
         "outputs": {
             os.path.basename(run_path): _sha256(run_path),
             os.path.basename(diagnostics_path): _sha256(diagnostics_path),

@@ -87,8 +87,6 @@ def estimate_feedback_model(feedback_docs: Sequence[Document],
         counts.update(doc.tokens)
     if not counts:
         raise ValueError("all feedback documents are empty")
-    if not 0.0 < cfg.noise < 1.0:
-        raise ValueError("noise must lie in (0, 1)")
     background = {w: index.collection_prob(w) for w in counts}
     theta, _ = em_feedback(dict(counts), background, cfg.noise,
                            cfg.em_iters, cfg.em_tol)

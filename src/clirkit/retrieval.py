@@ -17,14 +17,20 @@ document constant -log(|d| + mu) plus a sparse bonus for matched terms,
 
 Query terms absent from the whole collection carry no usable probability
 and are skipped, which shifts every document identically.
+
+The index also counts windowed co-occurrence over the collection's token
+stream (``InvertedIndex.window_pair_counts``) for the co-occurrence
+translation model.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from clirkit.corpus import Document, DuplicateDocIdError
 
@@ -59,30 +65,105 @@ class QueryModel:
 
 @dataclass
 class InvertedIndex:
-    postings: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
-    doc_lengths: dict[str, int] = field(default_factory=dict)
-    collection_freq: dict[str, int] = field(default_factory=dict)
-    total_tokens: int = 0
+    """Array layout of one collection; build it with ``from_documents``.
+
+    Documents are numbered in input order: document i is ``doc_ids[i]``,
+    has ``lengths[i]`` tokens and ranks ``doc_rank[i]``-th by doc id.
+    ``lengths[i] == length_values[length_index[i]]``, so the length prior
+    is computed once per distinct length. Terms are numbered in sorted
+    order (``terms``, ``term_ids``), so comparing two term ids compares
+    the terms. Term t's postings are the slice
+    ``post_offsets[t]:post_offsets[t + 1]`` of ``post_docs`` (document
+    numbers, ascending) and ``post_tfs``. The collection itself is the
+    term-id stream ``tokens``; document i is
+    ``tokens[doc_starts[i]:doc_starts[i + 1]]``.
+    """
+
+    doc_ids: list[str]
+    doc_rank: np.ndarray
+    lengths: np.ndarray
+    length_values: np.ndarray
+    length_index: np.ndarray
+    terms: list[str]
+    term_ids: dict[str, int]
+    post_offsets: np.ndarray
+    post_docs: np.ndarray
+    post_tfs: np.ndarray
+    tokens: np.ndarray
+    doc_starts: np.ndarray
+    collection_freq: dict[str, int]
+    total_tokens: int
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document]) -> "InvertedIndex":
         """Build the index; deterministic for a given input order."""
-        index = cls()
+        doc_ids: list[str] = []
+        seen: set[str] = set()
+        lengths: list[int] = []
+        stream: list[str] = []
         for doc in docs:
-            if doc.doc_id in index.doc_lengths:
+            if doc.doc_id in seen:
                 raise DuplicateDocIdError(doc.doc_id)
-            index.doc_lengths[doc.doc_id] = doc.length
-            index.total_tokens += doc.length
-            for term, tf in Counter(doc.tokens).items():
-                index.postings.setdefault(term, []).append((doc.doc_id, tf))
-                index.collection_freq[term] = index.collection_freq.get(term, 0) + tf
-        return index
+            seen.add(doc.doc_id)
+            doc_ids.append(doc.doc_id)
+            lengths.append(doc.length)
+            stream.extend(doc.tokens)
+        n = len(doc_ids)
+        terms = sorted(set(stream))
+        term_ids = {t: i for i, t in enumerate(terms)}
+        tokens = np.fromiter(map(term_ids.__getitem__, stream), dtype=np.int32,
+                             count=len(stream))
+        length_arr = np.array(lengths, dtype=np.int64)
+        doc_starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(length_arr, out=doc_starts[1:])
+        # One (term, document) key per token; sorted, its runs are the postings.
+        width = max(n, 1)
+        doc_of_token = np.repeat(np.arange(n, dtype=np.int64), length_arr)
+        keys, tfs = np.unique(tokens.astype(np.int64) * width + doc_of_token,
+                              return_counts=True)
+        post_offsets = np.searchsorted(keys // width, np.arange(len(terms) + 1))
+        doc_rank = np.empty(n, dtype=np.int64)
+        doc_rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
+        length_values, length_index = np.unique(length_arr, return_inverse=True)
+        cf = np.bincount(tokens, minlength=len(terms))
+        return cls(doc_ids=doc_ids, doc_rank=doc_rank, lengths=length_arr,
+                   length_values=length_values, length_index=length_index,
+                   terms=terms, term_ids=term_ids, post_offsets=post_offsets,
+                   post_docs=keys % width, post_tfs=tfs, tokens=tokens,
+                   doc_starts=doc_starts,
+                   collection_freq=dict(zip(terms, cf.tolist())),
+                   total_tokens=len(stream))
 
     def collection_prob(self, term: str) -> float:
         """p(term|C); 0 for terms absent from the collection."""
         if self.total_tokens == 0:
             return 0.0
         return self.collection_freq.get(term, 0) / self.total_tokens
+
+    def window_pair_counts(self, needed: set[str],
+                           window: int) -> dict[tuple[str, str], int]:
+        """Position pairs at most ``window`` tokens apart in one document
+        where both terms are in ``needed``, keyed by the sorted term pair."""
+        num_terms = len(self.terms)
+        mask = np.zeros(num_terms, dtype=bool)
+        mask[[self.term_ids[t] for t in needed if t in self.term_ids]] = True
+        pos = np.flatnonzero(np.take(mask, self.tokens))
+        term = np.take(self.tokens, pos).astype(np.int64)
+        # each needed position's document end, from the positions before each end
+        ends = self.doc_starts[1:]
+        doc_end = np.repeat(ends, np.diff(np.searchsorted(pos, ends), prepend=0))
+        keys = []
+        for m in range(1, window + 1):
+            # a position and the m-th needed position after it: at most
+            # ``window`` tokens on, so m <= window covers every pair once
+            later = pos[m:]
+            near = (later - pos[:-m] <= window) & (later < doc_end[:-m])
+            a, b = term[:-m][near], term[m:][near]
+            # term ids follow term order, so (min, max) of ids is the sorted pair
+            keys.append(np.minimum(a, b) * num_terms + np.maximum(a, b))
+        pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
+        return {(self.terms[key // num_terms], self.terms[key % num_terms]): count
+                for key, count in zip(pairs.tolist(), counts.tolist())}
 
 
 def retrieve(query: QueryModel, index: InvertedIndex, mu: float = 1000.0,
@@ -92,6 +173,11 @@ def retrieve(query: QueryModel, index: InvertedIndex, mu: float = 1000.0,
     Ties are broken deterministically: score descending, then doc_id
     ascending. Documents containing no query term still rank via the
     length-dependent prior term.
+
+    Every logarithm is taken with ``math`` (once per distinct document
+    length, and once per distinct tf of each term), and each document's
+    terms are added in query order, so scores are the same floats as a
+    per-document loop gives.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -104,11 +190,24 @@ def retrieve(query: QueryModel, index: InvertedIndex, mu: float = 1000.0,
     base = sum(w * math.log(mu * index.collection_prob(t))
                for t, w in active.items())
     qmass = sum(active.values())
-    scores = {doc_id: base - qmass * math.log(length + mu)
-              for doc_id, length in index.doc_lengths.items()}
+    prior = [base - qmass * math.log(length + mu)
+             for length in index.length_values.tolist()]
+    scores = np.array(prior, dtype=np.float64)[index.length_index]
     for term, weight in active.items():
         bonus_denom = mu * index.collection_prob(term)
-        for doc_id, tf in index.postings[term]:
-            scores[doc_id] += weight * math.log1p(tf / bonus_denom)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+        t = index.term_ids[term]
+        lo, hi = index.post_offsets[t], index.post_offsets[t + 1]
+        tfs = index.post_tfs[lo:hi]
+        distinct = np.flatnonzero(np.bincount(tfs))
+        bonus = np.zeros(distinct[-1] + 1)
+        bonus[distinct] = [weight * math.log1p(tf / bonus_denom) for tf in distinct.tolist()]
+        scores[index.post_docs[lo:hi]] += bonus[tfs]
+    n = len(scores)
+    if k < n:
+        # every document tied with the k-th best score competes for the last places
+        kth = scores[np.argpartition(scores, n - k)[n - k]]
+        top = np.flatnonzero(scores >= kth)
+    else:
+        top = np.arange(n)
+    top = top[np.lexsort((index.doc_rank[top], -scores[top]))][:k]
+    return list(zip([index.doc_ids[i] for i in top.tolist()], scores[top].tolist()))

@@ -19,7 +19,6 @@ the default) or is dropped too ("drop_term").
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 from clirkit.corpus import BilingualDictionary, Document
 from clirkit.embeddings import EmbeddingTable, SgnsConfig, train_sgns
 from clirkit.projection import ProjectionMatrix
-from clirkit.retrieval import QueryModel
+from clirkit.retrieval import InvertedIndex, QueryModel
 
 FALLBACK_POLICIES = ("uniform_over_candidates", "drop_term")
 
@@ -155,18 +154,19 @@ def top1_model(query_terms: Sequence[str],
 
 
 def cooccur_model(query_terms: Sequence[str], dictionary: BilingualDictionary,
-                  tgt_docs: Iterable[Document], window: int = 4) -> TranslationModel:
+                  index: InvertedIndex, window: int = 4) -> TranslationModel:
     """Add-one windowed co-occurrence with the other query terms' candidates.
 
     score(c) = 1 + sum over candidates c' of the other query terms of the
     number of position pairs within ``window`` tokens of each other (same
-    document) where c and c' occur. Scores are normalized per source term.
+    document) where c and c' occur, counted in the target collection's
+    ``index``. Scores are normalized per source term.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     cand_lists = {t: dictionary.entries.get(t, ()) for t in dict.fromkeys(query_terms)}
     needed = {c for cands in cand_lists.values() for c in cands}
-    counts = _window_cooccurrence(tgt_docs, needed, window)
+    counts = index.window_pair_counts(needed, window)
 
     def row_for(term: str, candidates: tuple[str, ...]) -> Row:
         partner_cands = [c for other, cands in cand_lists.items()
@@ -180,23 +180,6 @@ def cooccur_model(query_terms: Sequence[str], dictionary: BilingualDictionary,
         return [(c, s / total) for c, s in zip(candidates, scores)]
 
     return _build_model(query_terms, dictionary, row_for)
-
-
-def _window_cooccurrence(docs: Iterable[Document], needed: set[str],
-                         window: int) -> dict[tuple[str, str], int]:
-    counts: Counter[tuple[str, str]] = Counter()
-    for doc in docs:
-        tokens = doc.tokens
-        n = len(tokens)
-        for i in range(n):
-            a = tokens[i]
-            if a not in needed:
-                continue
-            for j in range(i + 1, min(n, i + window + 1)):
-                b = tokens[j]
-                if b in needed:
-                    counts[(min(a, b), max(a, b))] += 1
-    return dict(counts)
 
 
 def mixed_model(query_terms: Sequence[str], f_s: Sequence[Document],

@@ -192,7 +192,8 @@ def test_c04_translation_model_invariants():
         d, terms = random_dictionary(int(rng.integers(1, 4)))
         docs = [Document(f"d{i}", tuple(vocab_t[j] for j in rng.integers(0, 12, 15)))
                 for i in range(3)]
-        check(cooccur_model(terms, d, docs, window=int(rng.integers(1, 5))))
+        check(cooccur_model(terms, d, InvertedIndex.from_documents(docs),
+                            window=int(rng.integers(1, 5))))
         fixtures += 1
     for _ in range(150):
         d, terms = random_dictionary(int(rng.integers(1, 4)))

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from clirkit.evaluation import (
@@ -15,6 +18,12 @@ from clirkit.evaluation import (
     read_run,
     write_run,
 )
+
+
+# Run-file ids: non-empty, no character ``str.split`` treats as whitespace
+# (every such character is in a Unicode category Z* or C*).
+run_ids = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=8)
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def ranked(*doc_ids):
@@ -186,6 +195,26 @@ class TestRunFiles:
         p2 = tmp_path / "two.run"
         write_run(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(run_ids, st.lists(st.tuples(run_ids, finite), min_size=1,
+                                             max_size=12, unique_by=lambda ds: ds[0]),
+                           min_size=1, max_size=5),
+           run_ids)
+    def test_round_trip_property(self, tmp_path_factory, drawn, tag):
+        rankings = {topic: [(doc, score) for doc, score in
+                            sorted(rows, key=lambda ds: -ds[1])]
+                    for topic, rows in drawn.items()}
+        path = tmp_path_factory.mktemp("runs") / "prop.run"
+        write_run(RunFile(tag=tag, rankings=rankings), str(path))
+        loaded = read_run(str(path))
+        assert loaded.tag == tag
+
+        def bits(run):
+            return {topic: [(doc, struct.pack("<d", score)) for doc, score in rows]
+                    for topic, rows in run.items()}
+        assert list(loaded.rankings) == list(rankings)
+        assert bits(loaded.rankings) == bits(rankings)
 
     def test_rank_contiguity_checked(self, tmp_path):
         path = tmp_path / "bad.run"

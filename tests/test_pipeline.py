@@ -1,8 +1,10 @@
 import filecmp
+import hashlib
 import json
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from clirkit import pipeline
@@ -123,7 +125,10 @@ class TestDeterminismAndCaching:
         out = run_experiment(make_ctx(small_config), cfg, str(tmp_path / "m"))
         manifest = json.loads(open(out.manifest_path).read())
         assert set(manifest["inputs"]) == {"source_docs", "target_docs",
-                                           "dictionary", "topics"}
+                                           "dictionary", "topics", "qrels"}
+        with open(small_config["qrels"], "rb") as fh:
+            assert manifest["inputs"]["qrels"] == hashlib.sha256(fh.read()).hexdigest()
+        assert manifest["numpy_version"] == np.__version__
         assert "testrun.run" in manifest["outputs"]
         assert manifest["config"]["seed"] == 1
         for digest in manifest["outputs"].values():

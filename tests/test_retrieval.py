@@ -41,6 +41,28 @@ def brute_force_scores(docs: list[Document], query: dict[str, float], mu: float)
     return scores
 
 
+def scalar_scores(docs: list[Document], query: dict[str, float], mu: float):
+    """The scoring decomposition of retrieval.py's docstring as a
+    per-document loop: base, length prior, then each matched term's bonus
+    in query order, so it gives the very floats ``retrieve`` should."""
+    cf = Counter()
+    for d in docs:
+        cf.update(d.tokens)
+    total = sum(cf.values())
+    active = {t: w for t, w in query.items() if cf[t] > 0}
+    base = sum(w * math.log(mu * (cf[t] / total)) for t, w in active.items())
+    qmass = sum(active.values())
+    scores = {}
+    for d in docs:
+        tf = Counter(d.tokens)
+        s = base - qmass * math.log(d.length + mu)
+        for t, w in active.items():
+            if tf[t]:
+                s += w * math.log1p(tf[t] / (mu * (cf[t] / total)))
+        scores[d.doc_id] = s
+    return scores
+
+
 class TestQueryModel:
     def test_normalizes(self):
         q = QueryModel({"a": 2.0, "b": 2.0})
@@ -66,26 +88,43 @@ class TestBuildIndex:
         index = InvertedIndex.from_documents(docs_from({"d1": ["a", "b"], "d2": ["b"]}))
         assert index.collection_freq == {"a": 1, "b": 2}
         assert index.total_tokens == 3
-        assert index.doc_lengths == {"d1": 2, "d2": 1}
+        assert index.doc_ids == ["d1", "d2"]
+        assert index.lengths.tolist() == [2, 1]
         assert index.collection_prob("b") == 2 / 3
+        assert index.terms == ["a", "b"]
+        assert index.term_ids == {"a": 0, "b": 1}
+        assert index.post_offsets.tolist() == [0, 1, 3]
+        assert index.post_docs.tolist() == [0, 0, 1]
+        assert index.post_tfs.tolist() == [1, 1, 1]
+        assert index.tokens.tolist() == [0, 1, 1]
+        assert index.doc_starts.tolist() == [0, 2, 3]
 
     def test_empty_stream(self):
         index = InvertedIndex.from_documents([])
         assert index.total_tokens == 0
-        assert index.doc_lengths == {}
+        assert index.doc_ids == []
+        assert index.lengths.size == 0
 
     def test_invariants_on_random_docs(self):
         rng = np.random.default_rng(7)
         docs = random_docs(rng, 100)
         index = InvertedIndex.from_documents(docs)
         # independent recount
-        assert sum(index.doc_lengths.values()) == index.total_tokens
+        assert index.lengths.tolist() == [d.length for d in docs]
+        assert int(index.lengths.sum()) == index.total_tokens
         recount = Counter()
         for d in docs:
             recount.update(d.tokens)
         assert dict(recount) == index.collection_freq
-        for term, plist in index.postings.items():
-            assert sum(tf for _, tf in plist) == index.collection_freq[term]
+        assert index.terms == sorted(recount)
+        for term, t in index.term_ids.items():
+            lo, hi = index.post_offsets[t], index.post_offsets[t + 1]
+            assert int(index.post_tfs[lo:hi].sum()) == index.collection_freq[term]
+            for i, tf in zip(index.post_docs[lo:hi].tolist(), index.post_tfs[lo:hi].tolist()):
+                assert docs[i].tokens.count(term) == tf
+        for i, d in enumerate(docs):
+            stream = index.tokens[index.doc_starts[i]:index.doc_starts[i + 1]].tolist()
+            assert [index.terms[t] for t in stream] == list(d.tokens)
 
     def test_duplicate_doc_id(self):
         docs = [Document("d1", ("a",)), Document("d1", ("b",))]
@@ -162,3 +201,27 @@ class TestRetrieve:
         b = retrieve(query, InvertedIndex.from_documents(list(reversed(docs))), mu=300.0, k=25)
         assert a == b
 
+
+    def test_top_k_equals_full_sort_with_ties(self):
+        rng = np.random.default_rng(47)
+        for trial in range(20):
+            # every document twice plus an empty one, under shuffled ids
+            originals = random_docs(rng, 15, vocab=6, max_len=12)
+            tokens = [d.tokens for d in originals] * 2 + [()]
+            ids = [f"d{i:03d}" for i in rng.permutation(len(tokens))]
+            docs = [Document(doc_id, toks) for doc_id, toks in zip(ids, tokens)]
+            docs = [docs[i] for i in rng.permutation(len(docs))]
+            index = InvertedIndex.from_documents(docs)
+            terms = rng.choice(6, size=3, replace=False)
+            query = QueryModel({f"w{j}": float(w)
+                                for j, w in zip(terms, rng.dirichlet(np.ones(3)))})
+            mu = float(rng.uniform(10, 2000))
+            full = sorted(scalar_scores(docs, query.weights, mu).items(),
+                          key=lambda kv: (-kv[1], kv[0]))
+            in_tie = [k for k in range(1, len(full)) if full[k - 1][1] == full[k][1]]
+            assert in_tie, "duplicated documents must tie"
+            n = len(docs)
+            for k in (1, in_tie[0], in_tie[-1], n - 1, n, n + 5):
+                ranked = retrieve(query, index, mu, k)
+                assert ranked == full[:k], (trial, k)
+                assert all(type(score) is float for _, score in ranked)

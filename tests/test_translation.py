@@ -7,7 +7,7 @@ import pytest
 from clirkit.corpus import BilingualDictionary, Document
 from clirkit.embeddings import SgnsConfig, train_sgns
 from clirkit.projection import ProjectionMatrix
-from clirkit.retrieval import QueryModel
+from clirkit.retrieval import InvertedIndex, QueryModel
 from clirkit.translation import (
     TranslationModel,
     cooccur_model,
@@ -151,14 +151,14 @@ class TestCooccurModel:
     def test_single_term_reduces_to_uniform(self):
         d = BilingualDictionary(entries={"a": ("x", "y", "z")})
         docs = [Document("d1", ("x", "y", "x", "z"))]
-        model = cooccur_model(["a"], d, docs, window=4)
+        model = cooccur_model(["a"], d, InvertedIndex.from_documents(docs), window=4)
         for _, p in model.table["a"]:
             assert p == pytest.approx(1.0 / 3.0)
 
     def test_cooccurring_pair_dominates(self):
         d = BilingualDictionary(entries={"a": ("x", "y"), "b": ("p", "q")})
         docs = [Document("d1", ("x", "p", "x", "p", "filler", "y"))]
-        model = cooccur_model(["a", "b"], d, docs, window=2)
+        model = cooccur_model(["a", "b"], d, InvertedIndex.from_documents(docs), window=2)
         assert model.argmax("a") == "x"
         assert model.argmax("b") == "p"
 
@@ -170,7 +170,8 @@ class TestCooccurModel:
         d = BilingualDictionary(entries={"a": ("t0", "t1"), "b": ("t2", "t3"),
                                          "c": ("t4", "t5")})
         window = 3
-        model = cooccur_model(["a", "b", "c"], d, docs, window=window)
+        model = cooccur_model(["a", "b", "c"], d, InvertedIndex.from_documents(docs),
+                              window=window)
 
         def oracle_count(x, y):
             hits = 0
@@ -192,9 +193,42 @@ class TestCooccurModel:
             for cand in raw:
                 assert got[cand] == pytest.approx(raw[cand] / total, abs=1e-12)
 
+    def test_matches_window_scan_on_ragged_docs(self):
+        rng = np.random.default_rng(11)
+        vocab = [f"t{i}" for i in range(8)]
+        lengths = [0, 1, 2, 3, 7, 15, 40, 0, 5]
+        docs = [Document(f"d{i}", tuple(vocab[j] for j in rng.integers(0, 8, n)))
+                for i, n in enumerate(lengths)]
+        # "t1" is a candidate of both "a" and "b", so (t1, t1) pairs count;
+        # "absent" occurs nowhere in the collection
+        d = BilingualDictionary(entries={"a": ("t0", "t1"), "b": ("t1", "t2", "absent"),
+                                         "c": ("t3", "t4")})
+        index = InvertedIndex.from_documents(docs)
+        for window in (1, 4, 9):  # 4 and 9 reach past the end of short documents
+            model = cooccur_model(["a", "b", "c"], d, index, window=window)
+
+            def count(x, y):
+                hits = 0
+                for doc in docs:
+                    toks = doc.tokens
+                    for i in range(len(toks)):
+                        for j in range(i + 1, min(len(toks), i + window + 1)):
+                            hits += sorted((toks[i], toks[j])) == sorted((x, y))
+                return hits
+
+            assert count("t1", "t1") > 0
+            for term in ("a", "b", "c"):
+                partners = [c for other in ("a", "b", "c") if other != term
+                            for c in d.entries[other]]
+                raw = [1.0 + sum(count(cand, pc) for pc in partners)
+                       for cand in d.entries[term]]
+                assert model.table[term] == [(cand, r / sum(raw))
+                                             for cand, r in zip(d.entries[term], raw)]
+
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
-            cooccur_model(["a"], BilingualDictionary(entries={"a": ("x",)}), [], window=0)
+            cooccur_model(["a"], BilingualDictionary(entries={"a": ("x",)}),
+                          InvertedIndex.from_documents([]), window=0)
 
 
 class TestMixedModel:
@@ -361,5 +395,6 @@ class TestRowSumsProperty:
             w = ProjectionMatrix(w=rng.normal(size=(4, 4)), n=4)
             assert_rows_normalized(uniform_model(terms, d))
             assert_rows_normalized(top1_model(terms, d))
-            assert_rows_normalized(cooccur_model(terms, d, docs, window=3))
+            assert_rows_normalized(cooccur_model(terms, d, InvertedIndex.from_documents(docs),
+                                                 window=3))
             assert_rows_normalized(projected_model(terms, w, src, tgt, d))
