@@ -197,7 +197,8 @@ def write_run(run: RunFile, path: str) -> None:
 
 
 def read_run(path: str) -> RunFile:
-    """Parse a run file, checking rank contiguity and (topic, doc) uniqueness."""
+    """Parse a run file, checking rank contiguity and (topic, doc) uniqueness;
+    a malformed line raises a ``ValueError`` that names it."""
     tag = "unknown"
     rankings: dict[str, RankedList] = {}
     expected_rank: dict[str, int] = {}
@@ -211,7 +212,16 @@ def read_run(path: str) -> RunFile:
             if len(parts) != 6:
                 raise ValueError(f"run line {lineno} must have 6 columns")
             topic, _, doc_id, rank_str, score_str, tag = parts
-            rank = int(rank_str)
+            try:
+                rank = int(rank_str)
+            except ValueError:
+                raise ValueError(
+                    f"run line {lineno}: rank {rank_str!r} is not an integer") from None
+            try:
+                score = float(score_str)
+            except ValueError:
+                raise ValueError(
+                    f"run line {lineno}: score {score_str!r} is not a number") from None
             expected = expected_rank.get(topic, 0) + 1
             if rank != expected:
                 raise ValueError(
@@ -220,5 +230,5 @@ def read_run(path: str) -> RunFile:
                 raise ValueError(f"run line {lineno}: duplicate (topic, doc) pair")
             seen.add((topic, doc_id))
             expected_rank[topic] = rank
-            rankings.setdefault(topic, []).append((doc_id, float(score_str)))
+            rankings.setdefault(topic, []).append((doc_id, score))
     return RunFile(tag=tag, rankings=rankings)

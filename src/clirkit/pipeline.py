@@ -27,7 +27,6 @@ import numpy as np
 from clirkit.checks import check_number_fields
 from clirkit.corpus import (
     BilingualDictionary,
-    Document,
     NormalizationPipeline,
     Topic,
     load_documents,
@@ -180,31 +179,34 @@ class TopicDiagnostics:
 
 @dataclass
 class ExperimentContext:
-    """Shared, read-only inputs: indexes, documents, dictionary, topics."""
+    """Shared, read-only inputs: indexes, dictionary, topics, qrels.
+
+    Each collection is held once, as its index; feedback documents are
+    read back with ``InvertedIndex.document``.
+    """
 
     src_index: InvertedIndex
     tgt_index: InvertedIndex
-    src_docs: dict[str, Document]
-    tgt_docs: dict[str, Document]
     dictionary: BilingualDictionary
     topics: list[Topic]
     qrels: dict[str, set[str]] | None = None
 
     @classmethod
     def from_config(cls, cfg: PipelineConfig) -> "ExperimentContext":
+        """Parse the small inputs first, so a malformed one fails before the
+        collections load; then load and index one collection at a time, so
+        its ``Document`` list is freed as soon as its index exists."""
         src_pipe = cfg.source_normalization.build()
         tgt_pipe = cfg.target_normalization.build()
-        source = load_documents(cfg.source_docs, cfg.source_format, src_pipe)
-        target = load_documents(cfg.target_docs, cfg.target_format, tgt_pipe)
-        return cls(
-            src_index=InvertedIndex.from_documents(source),
-            tgt_index=InvertedIndex.from_documents(target),
-            src_docs={d.doc_id: d for d in source},
-            tgt_docs={d.doc_id: d for d in target},
-            dictionary=parse_dictionary(cfg.dictionary, src_pipe, tgt_pipe),
-            topics=parse_topics(cfg.topics, src_pipe),
-            qrels=parse_qrels(cfg.qrels) if cfg.qrels else None,
-        )
+        dictionary = parse_dictionary(cfg.dictionary, src_pipe, tgt_pipe)
+        topics = parse_topics(cfg.topics, src_pipe)
+        qrels = parse_qrels(cfg.qrels) if cfg.qrels else None
+        src_index = InvertedIndex.from_documents(
+            load_documents(cfg.source_docs, cfg.source_format, src_pipe))
+        tgt_index = InvertedIndex.from_documents(
+            load_documents(cfg.target_docs, cfg.target_format, tgt_pipe))
+        return cls(src_index=src_index, tgt_index=tgt_index, dictionary=dictionary,
+                   topics=topics, qrels=qrels)
 
 
 def derive_seed(base: int, *parts: str) -> int:
@@ -247,14 +249,14 @@ def prepare_topic(ctx: ExperimentContext, topic: Topic,
 
     with _stage(diag, "source_feedback_retrieval"):
         f_s = retrieve(q_s, ctx.src_index, cfg.mu, n)
-        f_s_docs = [ctx.src_docs[d] for d, _ in f_s]
+        f_s_docs = [ctx.src_index.document(d) for d, _ in f_s]
         diag.feedback_source_docs = [d for d, _ in f_s]
 
     with _stage(diag, "target_feedback_retrieval"):
         initial = uniform_model(terms, ctx.dictionary)
         q_t0 = translate_query_model(q_s, initial)
         f_t = retrieve(q_t0, ctx.tgt_index, cfg.mu, n)
-        f_t_docs = [ctx.tgt_docs[d] for d, _ in f_t]
+        f_t_docs = [ctx.tgt_index.document(d) for d, _ in f_t]
         diag.feedback_target_docs = [d for d, _ in f_t]
 
     primary: TranslationModel | None = None
@@ -336,7 +338,7 @@ def finish_topic(ctx: ExperimentContext, cfg: PipelineConfig, models: TopicModel
     if cfg.prf_enabled:
         with _stage(diag, "feedback"):
             fb = retrieve(q_t, ctx.tgt_index, cfg.mu, cfg.feedback.num_docs)
-            fb_docs = [ctx.tgt_docs[d] for d, _ in fb]
+            fb_docs = [ctx.tgt_index.document(d) for d, _ in fb]
             fb_model = estimate_feedback_model(fb_docs, ctx.tgt_index, cfg.feedback)
             q_t = interpolate_query(q_t, fb_model, cfg.feedback.interp_coeff)
     with _stage(diag, "final_retrieval"):

@@ -62,9 +62,8 @@ def em_feedback(counts: dict[str, int], background: dict[str, float],
         if mass <= 0.0:
             break
         theta = {w: counts[w] * resp[w] / mass for w in theta}
-        ll = sum(c * math.log((1.0 - noise) * theta[w] + noise * background.get(w, 0.0))
-                 for w, c in counts.items()
-                 if (1.0 - noise) * theta[w] + noise * background.get(w, 0.0) > 0.0)
+        ll = sum(c * math.log(mixture) for w, c in counts.items()
+                 if (mixture := (1.0 - noise) * theta[w] + noise * background.get(w, 0.0)) > 0.0)
         history.append(ll)
         if ll - prev_ll < tol and prev_ll != -math.inf:
             break

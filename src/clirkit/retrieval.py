@@ -67,21 +67,22 @@ class QueryModel:
 class InvertedIndex:
     """Array layout of one collection; build it with ``from_documents``.
 
-    Documents are numbered in input order: document i is ``doc_ids[i]``,
-    has ``lengths[i]`` tokens and ranks ``doc_rank[i]``-th by doc id.
-    ``lengths[i] == length_values[length_index[i]]``, so the length prior
-    is computed once per distinct length. Terms are numbered in sorted
-    order (``terms``, ``term_ids``), so comparing two term ids compares
-    the terms. Term t's postings are the slice
-    ``post_offsets[t]:post_offsets[t + 1]`` of ``post_docs`` (document
-    numbers, ascending) and ``post_tfs``. The collection itself is the
-    term-id stream ``tokens``; document i is
+    The index is the only in-memory copy of the collection: ``document``
+    rebuilds any indexed document from it. Documents are numbered in
+    input order: document i is ``doc_ids[i]`` (``doc_number`` maps back),
+    has ``length_values[length_index[i]]`` tokens and ranks
+    ``doc_rank[i]``-th by doc id; the length prior is computed once per
+    distinct length. Terms are numbered in sorted order (``terms``,
+    ``term_ids``), so comparing two term ids compares the terms. Term t's
+    postings are the slice ``post_offsets[t]:post_offsets[t + 1]`` of
+    ``post_docs`` (document numbers, ascending) and ``post_tfs``. The
+    collection itself is the term-id stream ``tokens``; document i is
     ``tokens[doc_starts[i]:doc_starts[i + 1]]``.
     """
 
     doc_ids: list[str]
+    doc_number: dict[str, int]
     doc_rank: np.ndarray
-    lengths: np.ndarray
     length_values: np.ndarray
     length_index: np.ndarray
     terms: list[str]
@@ -98,13 +99,13 @@ class InvertedIndex:
     def from_documents(cls, docs: Iterable[Document]) -> "InvertedIndex":
         """Build the index; deterministic for a given input order."""
         doc_ids: list[str] = []
-        seen: set[str] = set()
+        doc_number: dict[str, int] = {}
         lengths: list[int] = []
         stream: list[str] = []
         for doc in docs:
-            if doc.doc_id in seen:
+            if doc.doc_id in doc_number:
                 raise DuplicateDocIdError(doc.doc_id)
-            seen.add(doc.doc_id)
+            doc_number[doc.doc_id] = len(doc_ids)
             doc_ids.append(doc.doc_id)
             lengths.append(doc.length)
             stream.extend(doc.tokens)
@@ -126,13 +127,19 @@ class InvertedIndex:
         doc_rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
         length_values, length_index = np.unique(length_arr, return_inverse=True)
         cf = np.bincount(tokens, minlength=len(terms))
-        return cls(doc_ids=doc_ids, doc_rank=doc_rank, lengths=length_arr,
+        return cls(doc_ids=doc_ids, doc_number=doc_number, doc_rank=doc_rank,
                    length_values=length_values, length_index=length_index,
                    terms=terms, term_ids=term_ids, post_offsets=post_offsets,
                    post_docs=keys % width, post_tfs=tfs, tokens=tokens,
                    doc_starts=doc_starts,
                    collection_freq=dict(zip(terms, cf.tolist())),
                    total_tokens=len(stream))
+
+    def document(self, doc_id: str) -> Document:
+        """The indexed document ``doc_id``, token for token."""
+        i = self.doc_number[doc_id]
+        ids = self.tokens[self.doc_starts[i]:self.doc_starts[i + 1]].tolist()
+        return Document(doc_id, tuple(map(self.terms.__getitem__, ids)))
 
     def collection_prob(self, term: str) -> float:
         """p(term|C); 0 for terms absent from the collection."""

@@ -85,8 +85,6 @@ def _context(data) -> ExperimentContext:
     return ExperimentContext(
         src_index=InvertedIndex.from_documents(data.source_docs),
         tgt_index=InvertedIndex.from_documents(data.target_docs),
-        src_docs={d.doc_id: d for d in data.source_docs},
-        tgt_docs={d.doc_id: d for d in data.target_docs},
         dictionary=data.dictionary,
         topics=data.topics,
         qrels=data.qrels,

@@ -218,6 +218,9 @@ class TestRunFiles:
 
     def test_rank_contiguity_checked(self, tmp_path):
         path = tmp_path / "bad.run"
-        path.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d2 3 1.0 t\n")
-        with pytest.raises(ValueError):
-            read_run(str(path))
+        for second_line in ("q1 Q0 d2 3 1.0 t",  # rank skips 2
+                            "q1 Q0 d2 x 1.0 t",  # rank is not an integer
+                            "q1 Q0 d2 2 high t"):  # score is not a number
+            path.write_text(f"q1 Q0 d1 1 2.0 t\n{second_line}\n")
+            with pytest.raises(ValueError, match=r"run line 2\b"):
+                read_run(str(path))

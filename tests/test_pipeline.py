@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from clirkit import pipeline
-from clirkit.corpus import Document
+from clirkit.corpus import Document, ParseError
 from clirkit.evaluation import evaluate_run, read_run
 from clirkit.pipeline import (
     ExperimentContext,
@@ -62,6 +62,19 @@ class TestConfig:
         assert derive_seed(3, "q01", "sgns-src") == derive_seed(3, "q01", "sgns-src")
         assert derive_seed(3, "q01", "sgns-src") != derive_seed(3, "q01", "sgns-tgt")
         assert derive_seed(3, "q01", "sgns-src") != derive_seed(4, "q01", "sgns-src")
+
+
+class TestContext:
+    def test_malformed_topics_fail_before_any_collection_loads(self, small_config, tmp_path,
+                                                                monkeypatch):
+        def load_documents(*args):
+            raise AssertionError("a collection was loaded before the topics were parsed")
+
+        monkeypatch.setattr(pipeline, "load_documents", load_documents)
+        topics = tmp_path / "topics.jsonl"
+        topics.write_text('{"id": "q1", "title": "a b"}\n{"id": "q2"}\n')
+        with pytest.raises(ParseError, match=r"line 2\b"):
+            make_ctx({**small_config, "topics": str(topics)})
 
 
 class TestStagingContract:
@@ -183,14 +196,12 @@ class TestFallbacks:
         # translation pair survives
         from clirkit.corpus import BilingualDictionary, Topic
 
-        src_docs = [Document(f"s{i}", ("q", "filler", "filler", "q")) for i in range(6)]
-        tgt_docs = [Document("t0", ("c", "tfiller", "tfiller"))]
-        tgt_docs += [Document(f"t{i}", ("tfiller",) * 4) for i in range(1, 6)]
+        source = [Document(f"s{i}", ("q", "filler", "filler", "q")) for i in range(6)]
+        target = [Document("t0", ("c", "tfiller", "tfiller"))]
+        target += [Document(f"t{i}", ("tfiller",) * 4) for i in range(1, 6)]
         ctx = ExperimentContext(
-            src_index=InvertedIndex.from_documents(src_docs),
-            tgt_index=InvertedIndex.from_documents(tgt_docs),
-            src_docs={d.doc_id: d for d in src_docs},
-            tgt_docs={d.doc_id: d for d in tgt_docs},
+            src_index=InvertedIndex.from_documents(source),
+            tgt_index=InvertedIndex.from_documents(target),
             dictionary=BilingualDictionary(entries={"q": ("c",)}),
             topics=[Topic("t1", ("q",))],
         )

@@ -89,7 +89,7 @@ class TestBuildIndex:
         assert index.collection_freq == {"a": 1, "b": 2}
         assert index.total_tokens == 3
         assert index.doc_ids == ["d1", "d2"]
-        assert index.lengths.tolist() == [2, 1]
+        assert np.diff(index.doc_starts).tolist() == [2, 1]
         assert index.collection_prob("b") == 2 / 3
         assert index.terms == ["a", "b"]
         assert index.term_ids == {"a": 0, "b": 1}
@@ -103,15 +103,17 @@ class TestBuildIndex:
         index = InvertedIndex.from_documents([])
         assert index.total_tokens == 0
         assert index.doc_ids == []
-        assert index.lengths.size == 0
+        assert np.diff(index.doc_starts).size == 0
 
     def test_invariants_on_random_docs(self):
         rng = np.random.default_rng(7)
         docs = random_docs(rng, 100)
+        docs.insert(50, Document("empty", ()))
         index = InvertedIndex.from_documents(docs)
         # independent recount
-        assert index.lengths.tolist() == [d.length for d in docs]
-        assert int(index.lengths.sum()) == index.total_tokens
+        lengths = np.diff(index.doc_starts)
+        assert lengths.tolist() == [d.length for d in docs]
+        assert int(lengths.sum()) == index.total_tokens
         recount = Counter()
         for d in docs:
             recount.update(d.tokens)
@@ -125,6 +127,7 @@ class TestBuildIndex:
         for i, d in enumerate(docs):
             stream = index.tokens[index.doc_starts[i]:index.doc_starts[i + 1]].tolist()
             assert [index.terms[t] for t in stream] == list(d.tokens)
+            assert index.document(d.doc_id) == d
 
     def test_duplicate_doc_id(self):
         docs = [Document("d1", ("a",)), Document("d1", ("b",))]
