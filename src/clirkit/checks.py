@@ -5,15 +5,18 @@ from __future__ import annotations
 from dataclasses import fields
 
 # Field types are annotation strings: every config module postpones annotations.
-_NUMBER_TYPES = {"int": int, "float": (int, float)}
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+                "str | None": (str, type(None))}
 
 
-def check_number_fields(config) -> None:
-    """Reject a number field of the dataclass ``config`` that holds a bool or
-    anything but a number of its declared type (an int is a valid float)."""
+def check_field_types(config) -> None:
+    """Reject a number, bool or string field of the dataclass ``config`` that
+    holds anything but a value of its declared type. An int is a valid
+    float; True and False are valid only for a bool field."""
     for f in fields(config):
-        wanted = _NUMBER_TYPES.get(f.type)
+        wanted = _FIELD_TYPES.get(f.type)
         value = getattr(config, f.name)
-        if wanted and (isinstance(value, bool) or not isinstance(value, wanted)):
+        if wanted and (not isinstance(value, wanted)
+                       or (isinstance(value, bool) and wanted is not bool)):
             raise ValueError(f"{type(config).__name__}.{f.name} must be {f.type}, "
                              f"got {value!r}")

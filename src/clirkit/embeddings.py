@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from clirkit.checks import check_number_fields
+from clirkit.checks import check_field_types
 from clirkit.corpus import Document
 
 
@@ -36,11 +36,10 @@ class SgnsConfig:
     epochs: int = 100
     learning_rate: float = 0.05
     min_count: int = 1
-    seed: int = 0
 
     def __post_init__(self):
-        check_number_fields(self)
-        for key in ("dim", "window", "epochs"):
+        check_field_types(self)
+        for key in ("dim", "window", "negatives", "epochs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
         if not self.learning_rate > 0.0:
@@ -108,16 +107,17 @@ def build_vocab(docs: Sequence[Document], min_count: int) -> tuple[list[str], li
     return [w for w, _ in kept], [c for _, c in kept]
 
 
-def train_sgns_model(docs: Sequence[Document],
-                     cfg: SgnsConfig) -> tuple[EmbeddingTable, np.ndarray]:
-    """Train; return the input (center-word) vectors as a table and the
-    context-vector matrix, whose rows follow the table's vocabulary."""
+def train_sgns_model(docs: Sequence[Document], cfg: SgnsConfig,
+                     seed: int) -> tuple[EmbeddingTable, np.ndarray]:
+    """Train from ``seed``; return the input (center-word) vectors as a
+    table and the context-vector matrix, whose rows follow the table's
+    vocabulary."""
     vocab, counts = build_vocab(docs, cfg.min_count)
     if not vocab:
         raise ValueError("vocabulary empty after min_count filtering")
     word_index = {w: i for i, w in enumerate(vocab)}
     vsize = len(vocab)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     emb = (rng.random((vsize, cfg.dim)) - 0.5) / cfg.dim
     ctx = np.zeros((vsize, cfg.dim))
@@ -232,6 +232,6 @@ def _run_epoch(emb: np.ndarray, ctx: np.ndarray, centers: np.ndarray,
             grad_u[runs.order[start:end]], runs.starts[lo:hi], axis=0)
 
 
-def train_sgns(docs: Sequence[Document], cfg: SgnsConfig) -> EmbeddingTable:
-    """Train and return the input (center-word) vectors."""
-    return train_sgns_model(docs, cfg)[0]
+def train_sgns(docs: Sequence[Document], cfg: SgnsConfig, seed: int) -> EmbeddingTable:
+    """Train from ``seed`` and return the input (center-word) vectors."""
+    return train_sgns_model(docs, cfg, seed)[0]

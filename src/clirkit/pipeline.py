@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from clirkit.checks import check_number_fields
+from clirkit.checks import check_field_types
 from clirkit.corpus import (
     BilingualDictionary,
     NormalizationPipeline,
@@ -46,7 +46,6 @@ from clirkit.projection import (
 )
 from clirkit.retrieval import InvertedIndex, QueryModel, RankedList, retrieve
 from clirkit.translation import (
-    FALLBACK_POLICIES,
     TranslationModel,
     cooccur_model,
     interpolate_models,
@@ -72,6 +71,9 @@ class NormalizationSpec:
     lowercase: bool = True
     stopwords: str | None = None
     stemmer: str = "none"
+
+    def __post_init__(self):
+        check_field_types(self)
 
     def build(self) -> NormalizationPipeline:
         stop = load_stopwords(self.stopwords) if self.stopwords else frozenset()
@@ -110,7 +112,6 @@ class PipelineConfig:
     method: str = "proj"
     alpha: float = 0.6
     cooccur_window: int = 4
-    fallback: str = "uniform_over_candidates"
     prf_enabled: bool = True
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
     sgns: SgnsConfig = field(default_factory=SgnsConfig)
@@ -124,7 +125,7 @@ class PipelineConfig:
             if not isinstance(getattr(self, key), sub):
                 raise ValueError(f"{key} must be an object of {sub.__name__} fields, "
                                  f"got {getattr(self, key)!r}")
-        check_number_fields(self)
+        check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -135,11 +136,8 @@ class PipelineConfig:
             raise ValueError(f"depth must be >= 1, got {self.depth!r}")
         if self.cooccur_window < 1:
             raise ValueError(f"cooccur_window must be >= 1, got {self.cooccur_window!r}")
-        if self.fallback not in FALLBACK_POLICIES:
-            raise ValueError(f"unknown fallback {self.fallback!r}, "
-                             f"expected one of {FALLBACK_POLICIES}")
         # the tag names the run file and is its last column
-        if not isinstance(self.tag, str) or self.tag.split() != [self.tag] or "/" in self.tag:
+        if self.tag.split() != [self.tag] or "/" in self.tag:
             raise ValueError(f"tag {self.tag!r} is empty or contains whitespace or '/'")
 
     @classmethod
@@ -210,7 +208,13 @@ class ExperimentContext:
 
 
 def derive_seed(base: int, *parts: str) -> int:
-    """Stable per-topic, per-purpose seed."""
+    """Stable seed for one topic and purpose, from the config's ``seed``.
+
+    The pipeline derives four per topic, ``derive_seed(cfg.seed, topic_id,
+    purpose)``: ``sgns-src`` and ``sgns-tgt`` seed the two SGNS trainings of
+    ``proj``, ``proj`` seeds its projection fit, and ``mixed`` seeds both the
+    merge shuffle and the SGNS training of ``mixed``.
+    """
     h = zlib.crc32(":".join(parts).encode("utf-8"))
     return (base * 1000003 + h) % (2 ** 32)
 
@@ -262,10 +266,10 @@ def prepare_topic(ctx: ExperimentContext, topic: Topic,
     primary: TranslationModel | None = None
     if cfg.method == "proj":
         with _stage(diag, "embeddings"):
-            src_table = train_sgns(
-                f_s_docs, replace(cfg.sgns, seed=derive_seed(cfg.seed, topic.topic_id, "sgns-src")))
-            tgt_table = train_sgns(
-                f_t_docs, replace(cfg.sgns, seed=derive_seed(cfg.seed, topic.topic_id, "sgns-tgt")))
+            src_table = train_sgns(f_s_docs, cfg.sgns,
+                                   derive_seed(cfg.seed, topic.topic_id, "sgns-src"))
+            tgt_table = train_sgns(f_t_docs, cfg.sgns,
+                                   derive_seed(cfg.seed, topic.topic_id, "sgns-tgt"))
         with _stage(diag, "projection"):
             try:
                 pairset = extract_pairs(src_table, tgt_table, ctx.dictionary)
@@ -274,19 +278,16 @@ def prepare_topic(ctx: ExperimentContext, topic: Topic,
                 pairset = None
             if pairset is not None:
                 diag.pair_provenance = dict(pairset.provenance)
-                w = learn_projection(
-                    pairset, src_table, tgt_table,
-                    replace(cfg.projection, seed=derive_seed(cfg.seed, topic.topic_id, "proj")))
+                w = learn_projection(pairset, src_table, tgt_table, cfg.projection,
+                                     derive_seed(cfg.seed, topic.topic_id, "proj"))
                 diag.objective_curve = [obj for _, obj, _ in w.train_log]
         with _stage(diag, "translation_model"):
             if pairset is not None:
-                primary = projected_model(terms, w, src_table, tgt_table,
-                                          ctx.dictionary, fallback=cfg.fallback)
+                primary = projected_model(terms, w, src_table, tgt_table, ctx.dictionary)
     elif cfg.method == "mixed":
         with _stage(diag, "translation_model"):
             primary = mixed_model(terms, f_s_docs, f_t_docs, ctx.dictionary,
-                                  cfg.sgns, derive_seed(cfg.seed, topic.topic_id, "mixed"),
-                                  fallback=cfg.fallback)
+                                  cfg.sgns, derive_seed(cfg.seed, topic.topic_id, "mixed"))
     elif cfg.method == "uniform":
         with _stage(diag, "translation_model"):
             primary = initial

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from clirkit.checks import check_number_fields
+from clirkit.checks import check_field_types
 from clirkit.corpus import Document
 from clirkit.retrieval import InvertedIndex, QueryModel
 
@@ -33,11 +33,13 @@ class FeedbackConfig:
     em_tol: float = 1e-6
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_field_types(self)
         if self.num_docs < 1:
             raise ValueError(f"num_docs must be >= 1, got {self.num_docs!r}")
         if self.num_terms < 1:
             raise ValueError(f"num_terms must be >= 1, got {self.num_terms!r}")
+        if self.em_iters < 1:
+            raise ValueError(f"em_iters must be >= 1, got {self.em_iters!r}")
         if not 0.0 < self.noise < 1.0:
             raise ValueError(f"noise must lie in (0, 1), got {self.noise!r}")
         if not 0.0 <= self.interp_coeff <= 1.0:

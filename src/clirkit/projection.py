@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from clirkit.checks import check_number_fields
+from clirkit.checks import check_field_types
 from clirkit.corpus import BilingualDictionary
 from clirkit.embeddings import EmbeddingTable
 
@@ -48,12 +48,17 @@ class ProjectionConfig:
     epochs: int = 100
     decay: float = 0.98
     init_range: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_field_types(self)
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
+        if not self.decay > 0.0:
+            raise ValueError(f"decay must be positive, got {self.decay!r}")
+        if self.init_range < 0.0:
+            raise ValueError(f"init_range must be >= 0, got {self.init_range!r}")
 
 
 @dataclass
@@ -126,15 +131,15 @@ def objective_gradient(w: np.ndarray, pairs, src_emb: EmbeddingTable,
 
 
 def learn_projection(pairs, src_emb: EmbeddingTable, tgt_emb: EmbeddingTable,
-                     cfg: ProjectionConfig) -> ProjectionMatrix:
-    """Seeded SGD over shuffled pair visits; logs the objective per epoch."""
+                     cfg: ProjectionConfig, seed: int) -> ProjectionMatrix:
+    """SGD over pair visits shuffled from ``seed``; logs the objective per epoch."""
     u_rows, v_rows = _pair_matrices(pairs, src_emb, tgt_emb)
     if u_rows.size == 0:
         raise ValueError("cannot learn a projection from zero pairs")
     if u_rows.shape[1] != v_rows.shape[1]:
         raise ValueError("source and target embedding dimensions differ")
     n = u_rows.shape[1]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     w = rng.uniform(-cfg.init_range, cfg.init_range, size=(n, n))
     eta = cfg.eta
     order = np.arange(len(u_rows))

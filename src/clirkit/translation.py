@@ -10,16 +10,16 @@ W^T u; for ``mixed_model`` it is the term's own row in the shared
 space, which is the same model at W = I. The other constructors use
 dictionary order, uniform mass, or windowed co-occurrence evidence.
 
-Fallback policy: a query term without any dictionary entry is always
-dropped (and recorded); a term whose vectors are unusable either gets a
-uniform row over its dictionary candidates ("uniform_over_candidates",
-the default) or is dropped too ("drop_term").
+Fallback: a query term without any dictionary entry is dropped and
+listed in ``dropped_terms``; a term whose vectors are unusable gets a
+uniform row over its dictionary candidates and is listed in
+``fallback_terms``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,8 +28,6 @@ from clirkit.corpus import BilingualDictionary, Document
 from clirkit.embeddings import EmbeddingTable, SgnsConfig, train_sgns
 from clirkit.projection import ProjectionMatrix
 from clirkit.retrieval import InvertedIndex, QueryModel
-
-FALLBACK_POLICIES = ("uniform_over_candidates", "drop_term")
 
 Row = list[tuple[str, float]]
 
@@ -63,21 +61,14 @@ def _uniform_row(candidates: Sequence[str]) -> Row:
     return [(c, p) for c in candidates]
 
 
-def _check_fallback(fallback: str) -> None:
-    if fallback not in FALLBACK_POLICIES:
-        raise ValueError(f"unknown fallback policy {fallback!r}")
-
-
 def _build_model(query_terms: Iterable[str], dictionary: BilingualDictionary,
-                 row_for: Callable[[str, tuple[str, ...]], Row | None],
-                 fallback: str = "uniform_over_candidates") -> TranslationModel:
+                 row_for: Callable[[str, tuple[str, ...]], Row | None]) -> TranslationModel:
     """One row per distinct query term, in first-occurrence order.
 
     A term without a dictionary entry is dropped. ``row_for(term,
     candidates)`` returns the term's row, or None when the term's vectors
-    are unusable; the fallback policy then decides its row.
+    are unusable; the term then gets the uniform row over its candidates.
     """
-    _check_fallback(fallback)
     model = TranslationModel()
     for term in dict.fromkeys(query_terms):
         candidates = dictionary.entries.get(term)
@@ -87,9 +78,6 @@ def _build_model(query_terms: Iterable[str], dictionary: BilingualDictionary,
         row = row_for(term, candidates)
         if row is None:
             model.diagnostics["fallback_terms"].append(term)
-            if fallback == "drop_term":
-                model.diagnostics["dropped_terms"].append(term)
-                continue
             row = _uniform_row(candidates)
         model.table[term] = row
     return model
@@ -97,8 +85,8 @@ def _build_model(query_terms: Iterable[str], dictionary: BilingualDictionary,
 
 def _cosine_softmax_model(query_terms: Sequence[str],
                           query_vector: Callable[[str], np.ndarray | None],
-                          tgt_emb: EmbeddingTable, dictionary: BilingualDictionary,
-                          fallback: str) -> TranslationModel:
+                          tgt_emb: EmbeddingTable,
+                          dictionary: BilingualDictionary) -> TranslationModel:
     """Softmax over cosine(query_vector(term), v_candidate) per query term."""
     def row_for(term: str, candidates: tuple[str, ...]) -> Row | None:
         u = query_vector(term)
@@ -122,23 +110,22 @@ def _cosine_softmax_model(query_terms: Sequence[str],
         probs = softmax_scores([s for _, s in scored])
         return [(c, p) for (c, _), p in zip(scored, probs)]
 
-    return _build_model(query_terms, dictionary, row_for, fallback)
+    return _build_model(query_terms, dictionary, row_for)
 
 
 def projected_model(query_terms: Sequence[str], w: ProjectionMatrix,
                     src_emb: EmbeddingTable, tgt_emb: EmbeddingTable,
-                    dictionary: BilingualDictionary,
-                    fallback: str = "uniform_over_candidates") -> TranslationModel:
+                    dictionary: BilingualDictionary) -> TranslationModel:
     """Softmax over cosine(W^T u, v_candidate) per query term.
 
     Candidates without a (non-zero) target vector are excluded from the
-    softmax; terms with no usable vectors at all take the fallback row.
+    softmax; terms with no usable vectors at all take the uniform row.
     """
     def projected(term: str) -> np.ndarray | None:
         u = src_emb.get(term)
         return None if u is None else w.project(u)
 
-    return _cosine_softmax_model(query_terms, projected, tgt_emb, dictionary, fallback)
+    return _cosine_softmax_model(query_terms, projected, tgt_emb, dictionary)
 
 
 def uniform_model(query_terms: Sequence[str],
@@ -184,23 +171,21 @@ def cooccur_model(query_terms: Sequence[str], dictionary: BilingualDictionary,
 
 def mixed_model(query_terms: Sequence[str], f_s: Sequence[Document],
                 f_t: Sequence[Document], dictionary: BilingualDictionary,
-                cfg: SgnsConfig, seed: int,
-                fallback: str = "uniform_over_candidates") -> TranslationModel:
+                cfg: SgnsConfig, seed: int) -> TranslationModel:
     """Shared-space model from shuffled rank-paired document merges.
 
     The i-th ranked source document is merged with the i-th ranked target
     document (extra documents on the longer side are ignored), each merge
-    is shuffled with the seeded generator, and one embedding space is
-    trained on the merged collection. Translation probabilities are the
+    is shuffled, and one embedding space is trained on the merged
+    collection, both from ``seed``. Translation probabilities are the
     softmax over direct cosines in that space: ``projected_model`` with
     W = I and the shared table on both sides.
     """
-    _check_fallback(fallback)  # before training, not after
     if not f_s or not f_t:
         raise ValueError("both document lists must be non-empty")
     merged = merge_shuffle(f_s, f_t, seed)
-    table = train_sgns(merged, replace(cfg, seed=seed))
-    return _cosine_softmax_model(query_terms, table.get, table, dictionary, fallback)
+    table = train_sgns(merged, cfg, seed)
+    return _cosine_softmax_model(query_terms, table.get, table, dictionary)
 
 
 def merge_shuffle(f_s: Sequence[Document], f_t: Sequence[Document],

@@ -125,8 +125,8 @@ def test_c02_rotation_recovery():
     src = make_table({f"s{i}": u_rows[i] for i in range(m)})
     tgt = make_table({f"t{i}": v_rows[i] for i in range(m)})
     pairs = [(f"s{i}", f"t{i}") for i in range(m)]
-    cfg = ProjectionConfig(eta=0.1, epochs=500, decay=0.995, init_range=1.0, seed=7)
-    w = learn_projection(pairs, src, tgt, cfg)
+    cfg = ProjectionConfig(eta=0.1, epochs=500, decay=0.995, init_range=1.0)
+    w = learn_projection(pairs, src, tgt, cfg, 7)
     residual = float(np.mean(np.linalg.norm(u_rows @ w.w - v_rows, axis=1)))
     elapsed = time.time() - start
     assert residual < 1e-3, f"mean residual {residual}"
@@ -150,9 +150,8 @@ def test_c03_least_squares_consistency():
         pairs = [(f"s{i}", f"t{i}") for i in range(m)]
         w_star = np.linalg.pinv(u_rows.T @ u_rows) @ (u_rows.T @ v_rows)
         f_star = objective(w_star, pairs, src, tgt)
-        cfg = ProjectionConfig(eta=0.1, epochs=3000, decay=0.998,
-                               init_range=1.0, seed=trial)
-        learned = learn_projection(pairs, src, tgt, cfg)
+        cfg = ProjectionConfig(eta=0.1, epochs=3000, decay=0.998, init_range=1.0)
+        learned = learn_projection(pairs, src, tgt, cfg, trial)
         gap = objective(learned.w, pairs, src, tgt) - f_star
         assert gap <= 1e-4, f"trial {trial}: gap {gap}"
     _report("least-squares consistency (SGD within 1e-4 of normal equations)")

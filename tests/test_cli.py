@@ -99,7 +99,7 @@ def test_bad_dictionary_reports_stage(workspace, capsys, tmp_path):
 @pytest.mark.parametrize("override, named", [
     ({"alpah": 0.5}, "alpah"),
     ({"alpha": 1.5}, "alpha"),
-    ({"fallback": "nope"}, "nope"),
+    ({"fallback": "nope"}, "fallback"),
     ({"alpha": "0.6"}, "alpha"),
     ({"depth": 10.0}, "depth"),
     ({"seed": True}, "seed"),
@@ -122,6 +122,21 @@ def test_bad_dictionary_reports_stage(workspace, capsys, tmp_path):
     ({"sgns": {"learning_rate": 0.0}}, "learning_rate"),
     ({"source_index": "x.idx"}, "source_index"),
     ({"sgns": {"subsample": 0.001}}, "subsample"),
+    ({"fallback": "uniform_over_candidates"}, "fallback"),
+    ({"sgns": {"seed": 42}}, "seed"),
+    ({"projection": {"seed": 9}}, "seed"),
+    ({"prf_enabled": "false"}, "prf_enabled"),
+    ({"verbose_queries": "no"}, "verbose_queries"),
+    ({"source_normalization": {"lowercase": "no"}}, "lowercase"),
+    ({"target_normalization": {"stopwords": 5}}, "stopwords"),
+    ({"topics": 0}, "topics"),
+    ({"qrels": 5}, "qrels"),
+    ({"tag": 7}, "tag"),
+    ({"sgns": {"negatives": -1}}, "negatives"),
+    ({"projection": {"init_range": -1}}, "init_range"),
+    ({"projection": {"epochs": 0}}, "epochs"),
+    ({"projection": {"decay": -1}}, "decay"),
+    ({"feedback": {"em_iters": -3}}, "em_iters"),
 ])
 def test_bad_config_rejected_before_loading(workspace, capsys, tmp_path, monkeypatch,
                                             override, named):

@@ -66,8 +66,8 @@ class TestTraining:
         tokens = tuple(("a" if i % 2 == 0 else "b") for i in range(10_000))
         docs = [Document("d1", tokens)]
         cfg = SgnsConfig(window=1, negatives=1, dim=16, epochs=2,
-                         learning_rate=0.05, seed=3)
-        table, context_vectors = train_sgns_model(docs, cfg)
+                         learning_rate=0.05)
+        table, context_vectors = train_sgns_model(docs, cfg, 3)
         u_a = table.get("a")
         v_b = context_vectors[table.index["b"]]
         v_a = context_vectors[table.index["a"]]
@@ -79,25 +79,25 @@ class TestTraining:
 
     def test_requested_dimension(self):
         docs = [Document("d1", ("a", "b", "c") * 10)]
-        table = train_sgns(docs, SgnsConfig(dim=50, epochs=1, seed=0))
+        table = train_sgns(docs, SgnsConfig(dim=50, epochs=1), 0)
         assert table.dim == 50
         assert table.vectors.shape == (len(table.vocab), 50)
 
     def test_same_seed_identical_tables(self):
         docs = [Document("d1", ("a", "b", "c", "b") * 25)]
-        cfg = SgnsConfig(dim=12, epochs=3, seed=11)
-        t1 = train_sgns(docs, cfg)
-        t2 = train_sgns(docs, cfg)
+        cfg = SgnsConfig(dim=12, epochs=3)
+        t1 = train_sgns(docs, cfg, 11)
+        t2 = train_sgns(docs, cfg, 11)
         assert t1.vocab == t2.vocab
         assert np.array_equal(t1.vectors, t2.vectors)
 
     def test_different_seed_differs(self):
         docs = [Document("d1", ("a", "b", "c", "b") * 25)]
-        t1 = train_sgns(docs, SgnsConfig(dim=12, epochs=3, seed=11))
-        t2 = train_sgns(docs, SgnsConfig(dim=12, epochs=3, seed=12))
+        t1 = train_sgns(docs, SgnsConfig(dim=12, epochs=3), 11)
+        t2 = train_sgns(docs, SgnsConfig(dim=12, epochs=3), 12)
         assert t1.vocab == t2.vocab
         assert not np.array_equal(t1.vectors, t2.vectors)
 
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(ValueError):
-            train_sgns([Document("d1", ("a",))], SgnsConfig(min_count=5, epochs=1))
+            train_sgns([Document("d1", ("a",))], SgnsConfig(min_count=5, epochs=1), 0)

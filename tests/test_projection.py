@@ -136,15 +136,15 @@ class TestLearnProjection:
     def test_hand_executed_single_update(self):
         src = make_table({"a": [2.0]})
         tgt = make_table({"x": [6.0]})
-        cfg = ProjectionConfig(eta=0.1, epochs=1, decay=1.0, init_range=0.0, seed=0)
-        w = learn_projection([("a", "x")], src, tgt, cfg)
+        cfg = ProjectionConfig(eta=0.1, epochs=1, decay=1.0, init_range=0.0)
+        w = learn_projection([("a", "x")], src, tgt, cfg, 0)
         assert w.w[0, 0] == pytest.approx(1.2)
 
     def test_satisfied_pairs_leave_w_unchanged(self):
         src = make_table({"a": [1.0, 2.0], "b": [3.0, -1.0]})
         tgt = make_table({"x": [0.0, 0.0], "y": [0.0, 0.0]})
-        cfg = ProjectionConfig(eta=0.1, epochs=25, decay=1.0, init_range=0.0, seed=0)
-        w = learn_projection([("a", "x"), ("b", "y")], src, tgt, cfg)
+        cfg = ProjectionConfig(eta=0.1, epochs=25, decay=1.0, init_range=0.0)
+        w = learn_projection([("a", "x"), ("b", "y")], src, tgt, cfg, 0)
         assert np.array_equal(w.w, np.zeros((2, 2)))
         assert all(obj == 0.0 for _, obj, _ in w.train_log)
 
@@ -158,8 +158,8 @@ class TestLearnProjection:
         src = make_table({f"s{i}": u_rows[i] for i in range(m)})
         tgt = make_table({f"t{i}": v_rows[i] for i in range(m)})
         pairs = [(f"s{i}", f"t{i}") for i in range(m)]
-        cfg = ProjectionConfig(eta=0.1, epochs=200, decay=0.995, init_range=1.0, seed=1)
-        w = learn_projection(pairs, src, tgt, cfg)
+        cfg = ProjectionConfig(eta=0.1, epochs=200, decay=0.995, init_range=1.0)
+        w = learn_projection(pairs, src, tgt, cfg, 1)
         residual = np.mean(np.linalg.norm(u_rows @ w.w - v_rows, axis=1))
         assert residual < 1e-3
 
@@ -173,8 +173,8 @@ class TestLearnProjection:
         src = make_table({f"s{i}": u_rows[i] for i in range(m)})
         tgt = make_table({f"t{i}": v_rows[i] for i in range(m)})
         pairs = [(f"s{i}", f"t{i}") for i in range(m)]
-        cfg = ProjectionConfig(eta=0.05, epochs=100, decay=0.99, init_range=1.0, seed=2)
-        w = learn_projection(pairs, src, tgt, cfg)
+        cfg = ProjectionConfig(eta=0.05, epochs=100, decay=0.99, init_range=1.0)
+        w = learn_projection(pairs, src, tgt, cfg, 2)
         objs = [obj for _, obj, _ in w.train_log]
         for earlier, later in zip(objs, objs[1:]):
             assert later <= earlier + 1e-8
@@ -182,17 +182,17 @@ class TestLearnProjection:
     def test_divergence_reports_eta(self):
         src = make_table({"a": [200.0]})
         tgt = make_table({"x": [1.0]})
-        cfg = ProjectionConfig(eta=10.0, epochs=50, decay=1.0, init_range=1.0, seed=0)
+        cfg = ProjectionConfig(eta=10.0, epochs=50, decay=1.0, init_range=1.0)
         with pytest.raises(ValueError) as err:
-            learn_projection([("a", "x")] * 50, src, tgt, cfg)
+            learn_projection([("a", "x")] * 50, src, tgt, cfg, 0)
         assert "eta" in str(err.value)
 
     def test_accepts_pairset_wrapper(self):
         src = make_table({"a": [1.0]})
         tgt = make_table({"x": [2.0]})
         pairset = TranslationPairSet(pairs=[("a", "x")])
-        cfg = ProjectionConfig(eta=0.2, epochs=100, decay=1.0, init_range=0.0, seed=0)
-        w = learn_projection(pairset, src, tgt, cfg)
+        cfg = ProjectionConfig(eta=0.2, epochs=100, decay=1.0, init_range=0.0)
+        w = learn_projection(pairset, src, tgt, cfg, 0)
         assert w.w[0, 0] == pytest.approx(2.0, abs=1e-6)
 
 

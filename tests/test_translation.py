@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,14 +94,6 @@ class TestProjectedModel:
         model = projected_model(["a"], identity(1), src, tgt, d)
         assert dict(model.table["a"]) == {"x": 0.5, "y": 0.5}
         assert model.diagnostics["fallback_terms"] == ["a"]
-
-    def test_drop_term_policy(self):
-        src = make_table({"other": [1.0]})
-        tgt = make_table({"x": [1.0]})
-        d = BilingualDictionary(entries={"a": ("x",)})
-        model = projected_model(["a"], identity(1), src, tgt, d, fallback="drop_term")
-        assert "a" not in model.table
-        assert model.diagnostics["dropped_terms"] == ["a"]
 
     def test_no_dictionary_entry_recorded(self):
         src = make_table({"a": [1.0]})
@@ -271,7 +262,7 @@ class TestMixedModel:
         cfg = SgnsConfig(window=2, negatives=2, dim=8, epochs=3, learning_rate=0.02)
         seed = 7
         terms = ["a", "b", "c", "a", "missing"]
-        shared = train_sgns(merge_shuffle(f_s, f_t, seed), replace(cfg, seed=seed))
+        shared = train_sgns(merge_shuffle(f_s, f_t, seed), cfg, seed)
         mixed = mixed_model(terms, f_s, f_t, d, cfg, seed)
         proj = projected_model(terms, ProjectionMatrix(np.eye(shared.dim), shared.dim),
                                shared, shared, d)
