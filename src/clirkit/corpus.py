@@ -15,9 +15,28 @@ from clirkit.stemmer import porter_stem
 
 # Tokens are maximal alphanumeric runs (underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# The same tokenizer for Latin-1 text (every char below U+0100), as byte
+# tables for ``bytes.translate``: keeping the alphanumeric bytes and blanking
+# the rest leaves the runs ``[^\W_]+`` finds, for ``split``. In this range
+# ``str.lower`` maps each char to one char, so ``_LATIN1_LOWER`` lowercases
+# in the same translation.
+_LATIN1_KEEP = "".join(c if c.isalnum() else " " for c in map(chr, range(256))).encode("latin-1")
+_LATIN1_LOWER = _LATIN1_KEEP.decode("latin-1").lower().encode("latin-1")
 
 _DOC_FORMATS = ("trec_sgml", "jsonl")
 _STEMMERS = ("none", "porter")
+
+
+def check_doc_format(format: str, name: str = "document format") -> None:
+    """Raise ValueError unless ``format`` is a supported document format."""
+    if format not in _DOC_FORMATS:
+        raise ValueError(f"unknown {name} {format!r}, expected one of {_DOC_FORMATS}")
+
+
+def check_stemmer(stemmer: str) -> None:
+    """Raise ValueError unless ``stemmer`` is a supported stemmer."""
+    if stemmer not in _STEMMERS:
+        raise ValueError(f"unknown stemmer {stemmer!r}, expected one of {_STEMMERS}")
 
 
 class ParseError(ValueError):
@@ -82,8 +101,7 @@ class NormalizationPipeline:
     stemmer: str = "none"
 
     def __post_init__(self):
-        if self.stemmer not in _STEMMERS:
-            raise ValueError(f"unknown stemmer {self.stemmer!r}, expected one of {_STEMMERS}")
+        check_stemmer(self.stemmer)
         object.__setattr__(self, "stopwords", frozenset(self.stopwords))
 
 
@@ -91,11 +109,20 @@ def normalize(text: str, pipeline: NormalizationPipeline) -> list[str]:
     """Tokenize on non-alphanumeric runs, lowercase, drop stopwords, stem.
 
     Stage order matters: lowercasing happens before the stopword filter,
-    stemming last. Output order preserves input order.
+    stemming last. Output order preserves input order. Latin-1 text is
+    tokenized and lowercased in one byte translation; other text takes the
+    regex and per-token ``str.lower`` (``"İ".lower()`` is two chars, and
+    ``"Σ"`` lowers by context).
     """
-    tokens = _TOKEN_RE.findall(text)
-    if pipeline.lowercase:
-        tokens = [t.lower() for t in tokens]
+    try:
+        raw = text.encode("latin-1")
+    except UnicodeEncodeError:
+        tokens = _TOKEN_RE.findall(text)
+        if pipeline.lowercase:
+            tokens = [t.lower() for t in tokens]
+    else:
+        table = _LATIN1_LOWER if pipeline.lowercase else _LATIN1_KEEP
+        tokens = raw.translate(table).decode("latin-1").split()
     if pipeline.stopwords:
         tokens = [t for t in tokens if t not in pipeline.stopwords]
     if pipeline.stemmer == "porter":
@@ -120,8 +147,7 @@ class BilingualDictionary:
 
 def parse_documents(path: str, format: str) -> Iterator[tuple[str, str]]:
     """Yield (doc_id, raw_text) pairs in file order."""
-    if format not in _DOC_FORMATS:
-        raise ValueError(f"unknown document format {format!r}, expected one of {_DOC_FORMATS}")
+    check_doc_format(format)
     if format == "trec_sgml":
         return _parse_trec_sgml(path)
     return _parse_docs_jsonl(path)
@@ -198,10 +224,15 @@ def _parse_docs_jsonl(path: str) -> Iterator[tuple[str, str]]:
 
 
 def load_documents(path: str, format: str,
-                   pipeline: NormalizationPipeline) -> list[Document]:
-    """Parse and normalize a collection; one Document per well-formed record."""
-    return [Document(doc_id, tuple(normalize(text, pipeline)))
-            for doc_id, text in parse_documents(path, format)]
+                   pipeline: NormalizationPipeline) -> Iterator[Document]:
+    """Parse and normalize a collection lazily, one Document per record.
+
+    The format is checked at once; the file is read, and each record parsed
+    and normalized, only as the iterator is consumed, so no list of the
+    collection's documents is ever held.
+    """
+    return (Document(doc_id, tuple(normalize(text, pipeline)))
+            for doc_id, text in parse_documents(path, format))
 
 
 def parse_dictionary(path: str, src_pipeline: NormalizationPipeline,

@@ -29,6 +29,8 @@ from clirkit.corpus import (
     BilingualDictionary,
     NormalizationPipeline,
     Topic,
+    check_doc_format,
+    check_stemmer,
     load_documents,
     load_stopwords,
     parse_dictionary,
@@ -74,6 +76,7 @@ class NormalizationSpec:
 
     def __post_init__(self):
         check_field_types(self)
+        check_stemmer(self.stemmer)
 
     def build(self) -> NormalizationPipeline:
         stop = load_stopwords(self.stopwords) if self.stopwords else frozenset()
@@ -128,6 +131,8 @@ class PipelineConfig:
         check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        check_doc_format(self.source_format, "source_format")
+        check_doc_format(self.target_format, "target_format")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if not self.mu > 0.0:
@@ -192,8 +197,8 @@ class ExperimentContext:
     @classmethod
     def from_config(cls, cfg: PipelineConfig) -> "ExperimentContext":
         """Parse the small inputs first, so a malformed one fails before the
-        collections load; then load and index one collection at a time, so
-        its ``Document`` list is freed as soon as its index exists."""
+        collections load; then stream each collection, one document at a
+        time, straight into its index."""
         src_pipe = cfg.source_normalization.build()
         tgt_pipe = cfg.target_normalization.build()
         dictionary = parse_dictionary(cfg.dictionary, src_pipe, tgt_pipe)

@@ -26,7 +26,8 @@ translation model.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -97,23 +98,33 @@ class InvertedIndex:
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document]) -> "InvertedIndex":
-        """Build the index; deterministic for a given input order."""
+        """Build the index in one pass over ``docs``, which may be lazy.
+
+        Each term gets an id when first seen and its tokens go into an int
+        array as the documents stream by, so no list of the collection's
+        documents or token strings is held; at the end the ids are remapped
+        once to sorted term order. Deterministic for a given input order.
+        """
         doc_ids: list[str] = []
         doc_number: dict[str, int] = {}
         lengths: list[int] = []
-        stream: list[str] = []
+        first_seen: defaultdict[str, int] = defaultdict()
+        first_seen.default_factory = first_seen.__len__
+        stream = array("i")
         for doc in docs:
             if doc.doc_id in doc_number:
                 raise DuplicateDocIdError(doc.doc_id)
             doc_number[doc.doc_id] = len(doc_ids)
             doc_ids.append(doc.doc_id)
             lengths.append(doc.length)
-            stream.extend(doc.tokens)
+            stream.fromlist(list(map(first_seen.__getitem__, doc.tokens)))
         n = len(doc_ids)
-        terms = sorted(set(stream))
+        terms = sorted(first_seen)
         term_ids = {t: i for i, t in enumerate(terms)}
-        tokens = np.fromiter(map(term_ids.__getitem__, stream), dtype=np.int32,
-                             count=len(stream))
+        # first-seen id -> sorted id; ``first_seen`` iterates in id order
+        remap = np.fromiter(map(term_ids.__getitem__, first_seen), dtype=np.int32,
+                            count=len(terms))
+        tokens = remap[np.frombuffer(stream, dtype=np.intc)]
         length_arr = np.array(lengths, dtype=np.int64)
         doc_starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(length_arr, out=doc_starts[1:])
@@ -133,7 +144,7 @@ class InvertedIndex:
                    post_docs=keys % width, post_tfs=tfs, tokens=tokens,
                    doc_starts=doc_starts,
                    collection_freq=dict(zip(terms, cf.tolist())),
-                   total_tokens=len(stream))
+                   total_tokens=len(tokens))
 
     def document(self, doc_id: str) -> Document:
         """The indexed document ``doc_id``, token for token."""

@@ -137,6 +137,10 @@ def test_bad_dictionary_reports_stage(workspace, capsys, tmp_path):
     ({"projection": {"epochs": 0}}, "epochs"),
     ({"projection": {"decay": -1}}, "decay"),
     ({"feedback": {"em_iters": -3}}, "em_iters"),
+    ({"source_format": "xml"}, "source_format"),
+    ({"target_format": "xml"}, "target_format"),
+    ({"source_normalization": {"stemmer": "snowball"}}, "stemmer"),
+    ({"target_normalization": {"stemmer": "nope"}}, "stemmer"),
 ])
 def test_bad_config_rejected_before_loading(workspace, capsys, tmp_path, monkeypatch,
                                             override, named):

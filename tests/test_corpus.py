@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clirkit.corpus import (
+    _TOKEN_RE,
     BilingualDictionary,
     Document,
     DuplicateDocIdError,
@@ -18,8 +19,29 @@ from clirkit.corpus import (
     parse_qrels,
     parse_topics,
 )
+from clirkit.stemmer import porter_stem
 
 PLAIN = NormalizationPipeline(lowercase=True, stopwords=frozenset(), stemmer="none")
+
+
+_WORDS = ["The", "RUNNING", "dogs", "x1", "A", "foo_bar", "İstanbul", "Straße", "café",
+          "MÜLLER", "ÉCOLE", "ΟΔΟΣ"]
+_ASCII_CHARS = ("abzAMZ0189_ .,;:!?-'\"()[]{}<>/\\@#$%^&*+=|~`\t\n\r"
+                "\x00\x0b\x0c\x1c\x1d\x1e\x1f\x7f")
+# the rest of Latin-1 (U+0080-U+00FF), then chars beyond it
+_LATIN1_CHARS = "ßéÉÀàÿÞþÐðªºµ²¹¼×÷¿¡\x85\xa0\xad"
+_NON_ASCII_CHARS = _LATIN1_CHARS + "İıΣσς’€\u0301\u0308１２ａＡ\u2028ǅ"
+
+
+def reference_normalize(text, pipeline):
+    """The regex tokenizer with per-token lowercasing, then stopwords and stemmer."""
+    tokens = _TOKEN_RE.findall(text)
+    if pipeline.lowercase:
+        tokens = [t.lower() for t in tokens]
+    tokens = [t for t in tokens if t not in pipeline.stopwords]
+    if pipeline.stemmer == "porter":
+        tokens = [porter_stem(t) for t in tokens]
+    return tokens
 
 
 class TestNormalize:
@@ -51,6 +73,19 @@ class TestNormalize:
         pipeline = NormalizationPipeline(lowercase=lowercase, stopwords=stop, stemmer="none")
         once = normalize(text, pipeline)
         assert normalize(" ".join(once), pipeline) == once
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_WORDS), st.text(_ASCII_CHARS, max_size=6),
+                              st.text(_ASCII_CHARS + _LATIN1_CHARS, max_size=6),
+                              st.text(_ASCII_CHARS + _NON_ASCII_CHARS, max_size=6)),
+                    max_size=12).map("".join),
+           st.booleans(), st.frozensets(st.sampled_from(["a", "the", "dogs", "x1", "A"])),
+           st.sampled_from(["none", "porter"]))
+    def test_equals_regex_reference(self, text, lowercase, stop, stemmer):
+        # Latin-1 text takes a byte-table fast path; it must agree with the
+        # regex tokenizer and per-token lowercasing on every input
+        pipeline = NormalizationPipeline(lowercase=lowercase, stopwords=stop, stemmer=stemmer)
+        assert normalize(text, pipeline) == reference_normalize(text, pipeline)
 
     def test_unknown_stemmer_rejected(self):
         with pytest.raises(ValueError):
@@ -105,7 +140,7 @@ class TestParseTrecSgml:
         path = tmp_path / "c.sgml"
         path.write_text("".join(
             f"<DOC><DOCNO>d{i}</DOCNO><TEXT>tok{i} common</TEXT></DOC>" for i in range(n)))
-        docs = load_documents(str(path), "trec_sgml", PLAIN)
+        docs = list(load_documents(str(path), "trec_sgml", PLAIN))
         assert len(docs) == n
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from clirkit import pipeline
-from clirkit.corpus import Document, ParseError
+from clirkit.corpus import Document, DuplicateDocIdError, ParseError
 from clirkit.evaluation import evaluate_run, read_run
 from clirkit.pipeline import (
     ExperimentContext,
@@ -75,6 +75,21 @@ class TestContext:
         topics.write_text('{"id": "q1", "title": "a b"}\n{"id": "q2"}\n')
         with pytest.raises(ParseError, match=r"line 2\b"):
             make_ctx({**small_config, "topics": str(topics)})
+
+    def test_bad_record_mid_collection_fails_the_streamed_load(self, small_config, tmp_path):
+        good = [json.dumps({"id": f"s{i}", "text": "alpha beta"}) + "\n" for i in range(3)]
+        malformed = tmp_path / "malformed.jsonl"
+        malformed.write_text("".join(good[:2]) + "{not json\n" + good[2])
+        with pytest.raises(ParseError) as err:
+            make_ctx({**small_config, "source_docs": str(malformed)})
+        assert err.value.byte_offset == len("".join(good[:2]).encode("utf-8"))
+        assert err.value.docs_parsed == 2
+        assert "byte offset" in str(err.value) and "2 documents parsed" in str(err.value)
+
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("".join(good) + good[1])
+        with pytest.raises(DuplicateDocIdError, match="s1"):
+            make_ctx({**small_config, "target_docs": str(repeated)})
 
 
 class TestStagingContract:

@@ -1,8 +1,11 @@
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clirkit.corpus import Document, DuplicateDocIdError
 from clirkit.retrieval import InvertedIndex, QueryModel, retrieve
@@ -133,6 +136,28 @@ class TestBuildIndex:
         docs = [Document("d1", ("a",)), Document("d1", ("b",))]
         with pytest.raises(DuplicateDocIdError):
             InvertedIndex.from_documents(docs)
+        with pytest.raises(DuplicateDocIdError):
+            InvertedIndex.from_documents(iter(docs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["z", "b10", "b9", "a", "B", "é", "w0"]),
+                             max_size=8), max_size=12))
+    def test_stream_builds_the_same_index_as_a_list(self, layout):
+        # terms first seen out of sorted order, and empty documents, are drawn
+        docs = [Document(f"d{i}", tuple(tokens)) for i, tokens in enumerate(layout)]
+        streamed = InvertedIndex.from_documents(iter(docs))
+        listed = InvertedIndex.from_documents(docs)
+        for f in fields(InvertedIndex):
+            a, b = getattr(streamed, f.name), getattr(listed, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+        assert streamed.terms == sorted({t for tokens in layout for t in tokens})
+        assert streamed.term_ids == {t: i for i, t in enumerate(streamed.terms)}
+        assert streamed.tokens.dtype == np.int32
+        assert streamed.tokens.tolist() == [streamed.term_ids[t]
+                                            for tokens in layout for t in tokens]
 
 
 class TestRetrieve:
