@@ -29,7 +29,6 @@ from clirkit.corpus import (
     BilingualDictionary,
     NormalizationPipeline,
     Topic,
-    check_doc_format,
     check_stemmer,
     load_documents,
     load_stopwords,
@@ -102,9 +101,7 @@ _SUBCONFIGS = (("source_normalization", NormalizationSpec),
 @dataclass
 class PipelineConfig:
     source_docs: str = ""
-    source_format: str = "jsonl"
     target_docs: str = ""
-    target_format: str = "jsonl"
     dictionary: str = ""
     topics: str = ""
     qrels: str | None = None
@@ -115,7 +112,6 @@ class PipelineConfig:
     method: str = "proj"
     alpha: float = 0.6
     cooccur_window: int = 4
-    prf_enabled: bool = True
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
     sgns: SgnsConfig = field(default_factory=SgnsConfig)
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
@@ -131,8 +127,6 @@ class PipelineConfig:
         check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        check_doc_format(self.source_format, "source_format")
-        check_doc_format(self.target_format, "target_format")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if not self.mu > 0.0:
@@ -196,18 +190,18 @@ class ExperimentContext:
 
     @classmethod
     def from_config(cls, cfg: PipelineConfig) -> "ExperimentContext":
-        """Parse the small inputs first, so a malformed one fails before the
-        collections load; then stream each collection, one document at a
-        time, straight into its index."""
+        """Parse the small inputs first, and detect both collections' formats,
+        so a bad input fails before any document is parsed; then stream each
+        collection, one document at a time, straight into its index."""
         src_pipe = cfg.source_normalization.build()
         tgt_pipe = cfg.target_normalization.build()
         dictionary = parse_dictionary(cfg.dictionary, src_pipe, tgt_pipe)
         topics = parse_topics(cfg.topics, src_pipe)
         qrels = parse_qrels(cfg.qrels) if cfg.qrels else None
-        src_index = InvertedIndex.from_documents(
-            load_documents(cfg.source_docs, cfg.source_format, src_pipe))
-        tgt_index = InvertedIndex.from_documents(
-            load_documents(cfg.target_docs, cfg.target_format, tgt_pipe))
+        src_docs = load_documents(cfg.source_docs, src_pipe)
+        tgt_docs = load_documents(cfg.target_docs, tgt_pipe)
+        src_index = InvertedIndex.from_documents(src_docs)
+        tgt_index = InvertedIndex.from_documents(tgt_docs)
         return cls(src_index=src_index, tgt_index=tgt_index, dictionary=dictionary,
                    topics=topics, qrels=qrels)
 
@@ -337,11 +331,12 @@ def combine_models(models: TopicModels, cfg: PipelineConfig) -> TranslationModel
 
 def finish_topic(ctx: ExperimentContext, cfg: PipelineConfig, models: TopicModels,
                  tm: TranslationModel) -> RankedList:
-    """Query translation, mixture feedback, and final retrieval."""
+    """Query translation, mixture feedback (off at ``interp_coeff`` 0), and
+    final retrieval."""
     diag = models.diagnostics
     with _stage(diag, "query_translation"):
         q_t = translate_query_model(models.query, tm)
-    if cfg.prf_enabled:
+    if cfg.feedback.interp_coeff > 0:
         with _stage(diag, "feedback"):
             fb = retrieve(q_t, ctx.tgt_index, cfg.mu, cfg.feedback.num_docs)
             fb_docs = [ctx.tgt_index.document(d) for d, _ in fb]

@@ -204,18 +204,16 @@ def interpolate_models(p1: TranslationModel, p2: TranslationModel,
                        alpha: float) -> TranslationModel:
     """alpha * p1 + (1 - alpha) * p2 over the union of candidates.
 
-    Exact at the endpoints: alpha 1 returns a copy of p1, alpha 0 a copy
-    of p2. Otherwise missing candidates count as 0 and each row is
+    Exact at the endpoints: alpha 1 returns a copy of p1's table, alpha 0
+    a copy of p2's. Otherwise missing candidates count as 0 and each row is
     renormalized exactly.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if alpha == 1.0:
-        return TranslationModel(table={s: list(row) for s, row in p1.table.items()},
-                                diagnostics={k: list(v) for k, v in p1.diagnostics.items()})
+        return TranslationModel(table={s: list(row) for s, row in p1.table.items()})
     if alpha == 0.0:
-        return TranslationModel(table={s: list(row) for s, row in p2.table.items()},
-                                diagnostics={k: list(v) for k, v in p2.diagnostics.items()})
+        return TranslationModel(table={s: list(row) for s, row in p2.table.items()})
     model = TranslationModel()
     sources = list(p1.table)
     sources.extend(s for s in p2.table if s not in p1.table)
@@ -228,10 +226,6 @@ def interpolate_models(p1: TranslationModel, p2: TranslationModel,
                    for c in cands}
         total = sum(weights.values())
         model.table[source] = [(c, weights[c] / total) for c in cands]
-    dropped = set(p1.diagnostics["dropped_terms"]) & set(p2.diagnostics["dropped_terms"])
-    model.diagnostics["dropped_terms"] = sorted(dropped)
-    model.diagnostics["fallback_terms"] = sorted(
-        set(p1.diagnostics["fallback_terms"]) | set(p2.diagnostics["fallback_terms"]))
     return model
 
 

@@ -369,9 +369,10 @@ def test_c08_interpolation_endpoints(tmp_path):
         return path
 
     # both feedback variants: the endpoints must hold given identical PRF
-    for prf_enabled in (True, False):
-        suffix = "prf" if prf_enabled else "noprf"
-        cfg_pure = replace(cfg_base, prf_enabled=prf_enabled)
+    for interp_coeff in (0.5, 0.0):
+        suffix = "prf" if interp_coeff else "noprf"
+        cfg_pure = replace(cfg_base, feedback=replace(cfg_base.feedback,
+                                                      interp_coeff=interp_coeff))
         direct_pure = run_experiment(ctx, cfg_pure,
                                      str(tmp_path / f"direct-pure-{suffix}"))
         via_interp = assembled_run(cfg_pure, 1.0, f"interp-pure-{suffix}.run")

@@ -13,6 +13,7 @@ from clirkit.corpus import (
     ParseError,
     Topic,
     load_documents,
+    load_stopwords,
     normalize,
     parse_dictionary,
     parse_documents,
@@ -106,41 +107,50 @@ class TestParseTrecSgml:
     def test_single_record(self, tmp_path):
         path = tmp_path / "c.sgml"
         path.write_text("<DOC><DOCNO>d1</DOCNO><TEXT>a b</TEXT></DOC>")
-        assert list(parse_documents(str(path), "trec_sgml")) == [("d1", "a b")]
+        assert list(parse_documents(str(path))) == [("d1", "a b")]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.sgml"
         path.write_text("")
-        assert list(parse_documents(str(path), "trec_sgml")) == []
+        assert list(parse_documents(str(path))) == []
 
     def test_duplicate_docno(self, tmp_path):
         path = tmp_path / "c.sgml"
         path.write_text("<DOC><DOCNO>d1</DOCNO><TEXT>a</TEXT></DOC>"
                         "<DOC><DOCNO>d1</DOCNO><TEXT>b</TEXT></DOC>")
         with pytest.raises(DuplicateDocIdError) as err:
-            list(parse_documents(str(path), "trec_sgml"))
+            list(parse_documents(str(path)))
         assert "d1" in str(err.value)
 
     def test_multiple_text_blocks_concatenated(self, tmp_path):
         path = tmp_path / "c.sgml"
         path.write_text("<DOC><DOCNO>d1</DOCNO><TEXT>a</TEXT><TEXT>b</TEXT></DOC>")
-        [(_, text)] = list(parse_documents(str(path), "trec_sgml"))
+        [(_, text)] = list(parse_documents(str(path)))
         assert text.split() == ["a", "b"]
 
     def test_malformed_record_reports_position(self, tmp_path):
         path = tmp_path / "c.sgml"
         path.write_text("<DOC><DOCNO>d1</DOCNO><TEXT>a</TEXT></DOC><DOC><DOCNO>d2</DOCNO></DOC>")
         with pytest.raises(ParseError) as err:
-            list(parse_documents(str(path), "trec_sgml"))
+            list(parse_documents(str(path)))
         assert err.value.docs_parsed == 1
         assert err.value.byte_offset is not None
+
+    def test_unterminated_record_reports_position(self, tmp_path):
+        first = "<DOC><DOCNO>d1</DOCNO><TEXT>a</TEXT></DOC>\n"
+        path = tmp_path / "c.sgml"
+        path.write_text(first + "<DOC><DOCNO>d2</DOCNO><TEXT>b</TEXT>\n")
+        with pytest.raises(ParseError, match="unterminated <DOC> record") as err:
+            list(parse_documents(str(path)))
+        assert err.value.byte_offset == len(first)
+        assert err.value.docs_parsed == 1
 
     def test_count_preserving(self, tmp_path):
         n = 37
         path = tmp_path / "c.sgml"
         path.write_text("".join(
             f"<DOC><DOCNO>d{i}</DOCNO><TEXT>tok{i} common</TEXT></DOC>" for i in range(n)))
-        docs = list(load_documents(str(path), "trec_sgml", PLAIN))
+        docs = list(load_documents(str(path), PLAIN))
         assert len(docs) == n
 
 
@@ -148,13 +158,13 @@ class TestParseJsonl:
     def test_records_in_order(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "x", "text": "hello world"}\n{"id": "y", "text": "bye"}\n')
-        assert list(parse_documents(str(path), "jsonl")) == [("x", "hello world"), ("y", "bye")]
+        assert list(parse_documents(str(path))) == [("x", "hello world"), ("y", "bye")]
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "x", "text": "a"}\nnot json\n')
         with pytest.raises(ParseError) as err:
-            list(parse_documents(str(path), "jsonl"))
+            list(parse_documents(str(path)))
         assert err.value.docs_parsed == 1
 
     def test_id_with_whitespace_rejected(self, tmp_path):
@@ -163,16 +173,136 @@ class TestParseJsonl:
         path = tmp_path / "c.jsonl"
         path.write_text(first + '{"id": "dt 00000", "text": "b"}\n')
         with pytest.raises(ParseError) as err:
-            list(parse_documents(str(path), "jsonl"))
+            list(parse_documents(str(path)))
         assert err.value.byte_offset == len(first)
         assert err.value.docs_parsed == 1
         assert "dt 00000" in str(err.value)
 
     def test_unknown_format(self, tmp_path):
+        # the format comes from the first non-blank byte; "i" is neither "{" nor "<"
+        path = tmp_path / "c.csv"
+        path.write_text("id,text\nx,a\n")
+        with pytest.raises(ParseError) as err:
+            parse_documents(str(path))
+        assert str(path) in str(err.value)
+        assert err.value.byte_offset == 0
+        assert "0 documents parsed" in str(err.value)
+
+    def test_numeric_id_kept_as_text(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text("")
-        with pytest.raises(ValueError):
-            list(parse_documents(str(path), "csv"))
+        path.write_text('{"id": 5, "text": "a"}\n')
+        assert list(parse_documents(str(path))) == [("5", "a")]
+
+    @pytest.mark.parametrize("record", [
+        {"id": None, "text": "a"}, {"id": True, "text": "a"}, {"id": ["x"], "text": "a"},
+        {"id": "x", "text": None}, {"id": "x", "text": 5}, {"id": "x", "text": ["a"]},
+        {"id": "x", "text": {"a": 1}}, {"id": "x", "text": False}])
+    def test_non_string_field_rejected(self, tmp_path, record):
+        # str() would index null as the token "none"
+        first = '{"id": "w", "text": "a"}\n'
+        path = tmp_path / "c.jsonl"
+        path.write_text(first + json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match="must be a string") as err:
+            list(parse_documents(str(path)))
+        assert err.value.byte_offset == len(first)
+        assert err.value.docs_parsed == 1
+
+
+class TestFormatDetection:
+    def test_jsonl_after_blank_lines(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text('\n  \r\n{"id": "x", "text": "a"}\n')
+        assert list(parse_documents(str(path))) == [("x", "a")]
+
+    def test_sgml_after_blank_lines(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("\n\n\t <DOC><DOCNO>d1</DOCNO><TEXT>a b</TEXT></DOC>\n")
+        assert list(parse_documents(str(path))) == [("d1", "a b")]
+
+    def test_first_byte_after_a_long_blank_run(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b" " * 70000 + b'{"id": "x", "text": "a"}\n')
+        assert list(parse_documents(str(path))) == [("x", "a")]
+
+    @pytest.mark.parametrize("content", [b"", b"\n", b" \t\r\n\x0b\x0c  \n", b" " * 70000])
+    def test_empty_or_blank_file_holds_no_documents(self, tmp_path, content):
+        path = tmp_path / "c.txt"
+        path.write_bytes(content)
+        assert list(parse_documents(str(path))) == []
+        assert list(load_documents(str(path), PLAIN)) == []
+
+    @pytest.mark.parametrize("content, offset", [
+        (b"\n  [1, 2]\n", 3), (b"\xef\xbb\xbf<DOC>", 0), (b" " * 70000 + b"x", 70000)])
+    def test_unknown_first_byte_rejected_at_the_call(self, tmp_path, content, offset):
+        path = tmp_path / "c.txt"
+        path.write_bytes(content)
+        for load in (parse_documents, lambda p: load_documents(p, PLAIN)):
+            with pytest.raises(ParseError) as err:
+                load(str(path))
+            assert str(path) in str(err.value)
+            assert err.value.byte_offset == offset
+            assert err.value.docs_parsed == 0
+
+    def test_missing_file_fails_at_the_call(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_documents(str(tmp_path / "missing.jsonl"), PLAIN)
+
+
+class TestNonUtf8Input:
+    def test_jsonl_document_gives_file_offset(self, tmp_path):
+        first = b'{"id": "x", "text": "a"}\n'
+        second = b'{"id": "y", "text": "caf\xe9"}\n'
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(first + second)
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            list(parse_documents(str(path)))
+        assert err.value.byte_offset == len(first) + second.index(b"\xe9")
+        assert err.value.docs_parsed == 1
+
+    def test_sgml_document_gives_file_offset(self, tmp_path):
+        first = b"<DOC><DOCNO>d1</DOCNO><TEXT>a</TEXT></DOC>\n"
+        second = b"<DOC><DOCNO>d2</DOCNO><TEXT>caf\xe9</TEXT></DOC>\n"
+        path = tmp_path / "c.sgml"
+        path.write_bytes(first + second)
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            list(parse_documents(str(path)))
+        assert err.value.byte_offset == len(first) + second.index(b"\xe9")
+        assert err.value.docs_parsed == 1
+
+
+# Line-oriented inputs: (parser, good line i, a line holding a Latin-1 byte).
+_LINE_FILES = {
+    "topics": (lambda p: parse_topics(p, PLAIN),
+               lambda i: json.dumps({"id": f"q{i}", "title": f"t{i} u"}).encode(),
+               b'{"id": "qx", "title": "caf\xe9"}'),
+    "dictionary": (lambda p: parse_dictionary(p, PLAIN, PLAIN),
+                   lambda i: f"s{i}\tt{i} u{i}".encode(), b"caf\xe9\tcafe"),
+    "qrels": (parse_qrels, lambda i: f"q{i % 7} 0 d{i} {i % 2}".encode(), b"q1 0 caf\xe9 1"),
+    "stopwords": (load_stopwords, lambda i: f"w{i}".encode(), b"caf\xe9"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LINE_FILES))
+def test_line_file_non_utf8_gives_line(tmp_path, kind):
+    # far more than one 8 KB text-mode chunk comes before the bad line
+    parse, line, bad = _LINE_FILES[kind]
+    lines = [line(i) for i in range(3000)]
+    lines.insert(2500, bad)
+    path = tmp_path / kind
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        parse(str(path))
+    assert err.value.line == 2501
+
+
+@pytest.mark.parametrize("kind", sorted(_LINE_FILES))
+def test_line_file_crlf_parses_like_lf(tmp_path, kind):
+    parse, line, _ = _LINE_FILES[kind]
+    lines = [line(i) for i in range(50)]
+    lf, crlf = tmp_path / f"{kind}.lf", tmp_path / f"{kind}.crlf"
+    lf.write_bytes(b"\n".join(lines) + b"\n")
+    crlf.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    assert parse(str(crlf)) == parse(str(lf))
 
 
 class TestParseDictionary:
@@ -274,6 +404,25 @@ class TestParseTopics:
         path.write_text(json.dumps({"id": "q0", "title": "solar"}) + "\n"
                         + json.dumps({"id": topic_id, "title": "power"}) + "\n")
         with pytest.raises(ParseError, match="topic id") as err:
+            parse_topics(str(path), PLAIN)
+        assert err.value.line == 2
+
+    def test_numeric_id_kept_as_text(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"id": 141, "title": "solar"}) + "\n")
+        assert parse_topics(str(path), PLAIN)[0].topic_id == "141"
+
+    @pytest.mark.parametrize("record", [
+        {"id": None, "title": "a"}, {"id": False, "title": "a"}, {"id": {"n": 1}, "title": "a"},
+        {"id": "q2", "title": None}, {"id": "q2", "title": 1984}, {"id": "q2", "title": ["a"]},
+        {"id": "q2", "title": "a", "desc": None}, {"id": "q2", "title": "a", "desc": True},
+        {"id": "q2", "title": "a", "desc": {"b": "c"}}])
+    def test_non_string_field_rejected(self, tmp_path, record):
+        # str() would add "none" to the query for a null desc
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"id": "q1", "title": "solar"}) + "\n"
+                        + json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match="must be a string") as err:
             parse_topics(str(path), PLAIN)
         assert err.value.line == 2
 

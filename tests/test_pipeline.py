@@ -91,6 +91,20 @@ class TestContext:
         with pytest.raises(DuplicateDocIdError, match="s1"):
             make_ctx({**small_config, "target_docs": str(repeated)})
 
+    @pytest.mark.parametrize("content, error", [(None, FileNotFoundError),
+                                                ("id,text\ns1,alpha\n", ParseError)])
+    def test_bad_target_docs_fail_before_any_collection_is_indexed(
+            self, small_config, tmp_path, monkeypatch, content, error):
+        def from_documents(cls, docs):
+            raise AssertionError("a collection was indexed before the target file was read")
+
+        monkeypatch.setattr(InvertedIndex, "from_documents", classmethod(from_documents))
+        target = tmp_path / "target.csv"
+        if content is not None:
+            target.write_text(content)
+        with pytest.raises(error, match="target.csv"):
+            make_ctx({**small_config, "target_docs": str(target)})
+
 
 class TestStagingContract:
     def test_first_stages_identical_across_methods(self, small_corpus_dir, small_config):
@@ -253,7 +267,23 @@ class TestFallbacks:
         ctx = make_ctx(small_config)
         topic = ctx.topics[0]
         on, _ = run_topic(ctx, topic, PipelineConfig.from_dict(
-            {**small_config, "method": "uniform", "prf_enabled": True}))
+            {**small_config, "method": "uniform",
+             "feedback": {**small_config["feedback"], "interp_coeff": 0.5}}))
         off, _ = run_topic(ctx, topic, PipelineConfig.from_dict(
-            {**small_config, "method": "uniform", "prf_enabled": False}))
+            {**small_config, "method": "uniform",
+             "feedback": {**small_config["feedback"], "interp_coeff": 0.0}}))
         assert on != off
+
+    def test_zero_coefficient_runs_no_feedback(self, small_config, monkeypatch):
+        ctx = make_ctx(small_config)
+        cfg = PipelineConfig.from_dict({**small_config, "method": "uniform",
+                                        "feedback": {**small_config["feedback"],
+                                                     "interp_coeff": 0.0}})
+
+        def estimate_feedback_model(*args):
+            raise AssertionError("a feedback model was estimated at coefficient 0")
+
+        monkeypatch.setattr(pipeline, "estimate_feedback_model", estimate_feedback_model)
+        _, diag = run_topic(ctx, ctx.topics[0], cfg)
+        assert "feedback" not in diag.stages
+        assert diag.stages[-2:] == ["query_translation", "final_retrieval"]

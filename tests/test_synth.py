@@ -111,7 +111,7 @@ class TestEmittedFiles:
     def test_round_trip_through_toolkit_parsers(self, tmp_path):
         data = generate(SynthConfig(seed=13, **SMALL))
         paths = data.write(str(tmp_path))
-        docs = list(load_documents(paths["source_docs"], "jsonl", PLAIN))
+        docs = list(load_documents(paths["source_docs"], PLAIN))
         assert len(docs) == len(data.source_docs)
         assert [d.doc_id for d in docs] == [d.doc_id for d in data.source_docs]
         assert all(a.tokens == b.tokens for a, b in zip(docs, data.source_docs))
