@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth, run, sweep, eval, compare. Exit code 0 on
-success, 1 with a stage-tagged message on failure.
+success, 1 with a stage-tagged message on failure, and 2 with argparse's
+usage message for a malformed command line.
 """
 
 from __future__ import annotations
@@ -45,11 +46,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = PipelineConfig.from_file(args.config)
-    alphas = [float(a) for a in args.alphas.split(",")]
-    ns = [int(n) for n in args.ns.split(",")]
-    sweep_grid(cfg, alphas, ns)  # a bad grid fails before any input is loaded
-    ctx = ExperimentContext.from_config(cfg)
-    csv_path = sweep(ctx, cfg, alphas, ns, args.out)
+    grid = sweep_grid(cfg, args.alphas, args.ns)  # a bad grid fails before any input is loaded
+    csv_path = sweep(ExperimentContext.from_config(cfg), grid, args.out)
     print(f"sweep results: {csv_path}")
     with open(csv_path, encoding="utf-8") as fh:
         sys.stdout.write(fh.read())
@@ -84,6 +82,18 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _number_list(convert):
+    """An argparse ``type`` for comma-separated ``convert`` values, so a bad
+    value is reported with the flag's name."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(item) for item in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__}s, got {text!r}") from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="clirkit",
                                      description="cross-language retrieval toolkit")
@@ -112,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid over alpha and feedback-document count")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alphas", default="0,0.2,0.4,0.6,0.8,1")
-    p.add_argument("--ns", default="5,10,20")
+    p.add_argument("--alphas", type=_number_list(float), default="0,0.2,0.4,0.6,0.8,1")
+    p.add_argument("--ns", type=_number_list(int), default="5,10,20")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("eval", help="score a run file against qrels")

@@ -7,14 +7,16 @@ the translation pairs present in both vocabularies, build and optionally
 interpolate the translation model, translate the query model, apply
 mixture feedback in the target collection, and retrieve to depth.
 
-``run_experiment`` writes one run file plus diagnostics and a manifest of
-config, content hashes and numpy version; ``sweep`` evaluates an
-(alpha, n) grid of configs reusing the per-topic models that do not
-depend on alpha.
+``run_experiment`` writes a run directory: one run file plus diagnostics
+and a manifest of config, content hashes and numpy version. ``sweep``
+writes one for every cell of an (alpha, n) grid, reusing each row's
+alpha-independent models, so alpha-1 cells of a row with a smaller alpha
+also list the ``partner_model`` stage.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -242,7 +244,7 @@ class TopicModels:
 def prepare_topic(ctx: ExperimentContext, topic: Topic,
                   cfg: PipelineConfig) -> TopicModels:
     """Stages up to translation-model construction; the partner model is
-    built when ``combine_models`` at ``cfg.alpha`` needs it."""
+    built when ``rank_topic`` at ``cfg.alpha`` needs it."""
     diag = TopicDiagnostics(topic_id=topic.topic_id, method=cfg.method)
     terms = topic.query_terms(cfg.verbose_queries)
     n = cfg.feedback.num_docs
@@ -305,35 +307,33 @@ def prepare_topic(ctx: ExperimentContext, topic: Topic,
             partner = cooccur_model(terms, ctx.dictionary, ctx.tgt_index,
                                     cfg.cooccur_window)
 
+    # every model drops the same terms: those without a dictionary entry
+    diag.dropped_terms = list(initial.diagnostics["dropped_terms"])
     if primary is not None:
         diag.fallback_terms = list(primary.diagnostics["fallback_terms"])
-        diag.dropped_terms = list(primary.diagnostics["dropped_terms"])
     return TopicModels(query=q_s, primary=primary, partner=partner, diagnostics=diag)
 
 
-def combine_models(models: TopicModels, cfg: PipelineConfig) -> TranslationModel:
-    """Interpolate the embedding model with its partner at ``cfg.alpha``."""
-    diag = models.diagnostics
+def rank_topic(ctx: ExperimentContext, cfg: PipelineConfig,
+               models: TopicModels) -> tuple[RankedList, TopicDiagnostics]:
+    """Pick the primary model, the partner alone, or their interpolation at
+    ``cfg.alpha``; translate the query, apply mixture feedback (off at
+    ``interp_coeff`` 0) and retrieve to depth. Stages and flags go on a copy
+    of ``models.diagnostics``, so ``models`` can be ranked at many alphas."""
+    diag = copy.deepcopy(models.diagnostics)
     if models.primary is None:
         if models.partner is None:
             raise PipelineStageError("translation_model", diag.topic_id,
                                      ValueError("no translation model could be built"))
-        if "partner_only" not in diag.flags:
-            diag.flags.append("partner_only")
-        return models.partner
-    if cfg.method not in ("proj", "mixed") or cfg.alpha == 1.0:
-        return models.primary
-    if models.partner is None:
+        diag.flags.append("partner_only")
+        tm = models.partner
+    elif cfg.method not in ("proj", "mixed") or cfg.alpha == 1.0:
+        tm = models.primary
+    elif models.partner is None:
         raise PipelineStageError("partner_model", diag.topic_id,
                                  ValueError("interpolation requested but no partner model"))
-    return interpolate_models(models.primary, models.partner, cfg.alpha)
-
-
-def finish_topic(ctx: ExperimentContext, cfg: PipelineConfig, models: TopicModels,
-                 tm: TranslationModel) -> RankedList:
-    """Query translation, mixture feedback (off at ``interp_coeff`` 0), and
-    final retrieval."""
-    diag = models.diagnostics
+    else:
+        tm = interpolate_models(models.primary, models.partner, cfg.alpha)
     with _stage(diag, "query_translation"):
         q_t = translate_query_model(models.query, tm)
     if cfg.feedback.interp_coeff > 0:
@@ -344,15 +344,12 @@ def finish_topic(ctx: ExperimentContext, cfg: PipelineConfig, models: TopicModel
             q_t = interpolate_query(q_t, fb_model, cfg.feedback.interp_coeff)
     with _stage(diag, "final_retrieval"):
         ranked = retrieve(q_t, ctx.tgt_index, cfg.mu, cfg.depth)
-    return ranked
+    return ranked, diag
 
 
 def run_topic(ctx: ExperimentContext, topic: Topic,
               cfg: PipelineConfig) -> tuple[RankedList, TopicDiagnostics]:
-    models = prepare_topic(ctx, topic, cfg)
-    tm = combine_models(models, cfg)
-    ranked = finish_topic(ctx, cfg, models, tm)
-    return ranked, models.diagnostics
+    return rank_topic(ctx, cfg, prepare_topic(ctx, topic, cfg))
 
 
 @dataclass
@@ -371,87 +368,88 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def run_experiment(ctx: ExperimentContext, cfg: PipelineConfig,
-                   outdir: str) -> ExperimentResult:
-    """Run every topic, write run file, diagnostics, and manifest."""
-    os.makedirs(outdir, exist_ok=True)
-    rankings: dict[str, RankedList] = {}
-    diagnostics: list[TopicDiagnostics] = []
-    for topic in sorted(ctx.topics, key=lambda t: t.topic_id):
-        ranked, diag = run_topic(ctx, topic, cfg)
-        rankings[topic.topic_id] = ranked
-        diagnostics.append(diag)
-    run = RunFile(tag=cfg.tag, rankings=rankings)
+def _input_digests(cfg: PipelineConfig) -> dict[str, str]:
+    paths = {name: getattr(cfg, name)
+             for name in ("source_docs", "target_docs", "dictionary", "topics", "qrels")}
+    return {name: _sha256(path) for name, path in paths.items() if path}
+
+
+def _write_run_dir(outdir: str, cfg: PipelineConfig, inputs: dict[str, str],
+                   ranked: list[tuple[RankedList, TopicDiagnostics]]) -> ExperimentResult:
+    """Write ``<tag>.run``, ``<tag>.diagnostics.json`` and ``<tag>.manifest.json``
+    into the existing ``outdir``, from each topic's ranking and diagnostics."""
+    run = RunFile(tag=cfg.tag, rankings={d.topic_id: r for r, d in ranked})
     run_path = os.path.join(outdir, f"{cfg.tag}.run")
     write_run(run, run_path)
     diagnostics_path = os.path.join(outdir, f"{cfg.tag}.diagnostics.json")
     with open(diagnostics_path, "w", encoding="utf-8") as fh:
-        json.dump([d.to_dict() for d in diagnostics], fh, indent=2, sort_keys=True)
+        json.dump([d.to_dict() for _, d in ranked], fh, indent=2, sort_keys=True)
         fh.write("\n")
     manifest = {
         "config": cfg.to_dict(),
-        "inputs": {name: _sha256(path) for name, path in (
-            ("source_docs", cfg.source_docs),
-            ("target_docs", cfg.target_docs),
-            ("dictionary", cfg.dictionary),
-            ("topics", cfg.topics),
-            ("qrels", cfg.qrels),
-        ) if path},
+        "inputs": inputs,
         # scores are numpy float64 sums, so byte identity holds per numpy version
         "numpy_version": np.__version__,
-        "outputs": {
-            os.path.basename(run_path): _sha256(run_path),
-            os.path.basename(diagnostics_path): _sha256(diagnostics_path),
-        },
+        "outputs": {os.path.basename(p): _sha256(p) for p in (run_path, diagnostics_path)},
     }
     manifest_path = os.path.join(outdir, f"{cfg.tag}.manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return ExperimentResult(run=run, run_path=run_path,
-                            diagnostics_path=diagnostics_path,
-                            manifest_path=manifest_path)
+    return ExperimentResult(run, run_path, diagnostics_path, manifest_path)
+
+
+def run_experiment(ctx: ExperimentContext, cfg: PipelineConfig,
+                   outdir: str) -> ExperimentResult:
+    """Run every topic, write run file, diagnostics, and manifest."""
+    os.makedirs(outdir, exist_ok=True)
+    ranked = [run_topic(ctx, topic, cfg)
+              for topic in sorted(ctx.topics, key=lambda t: t.topic_id)]
+    return _write_run_dir(outdir, cfg, _input_digests(cfg), ranked)
 
 
 def sweep_grid(cfg: PipelineConfig, alphas: list[float],
                ns: list[int]) -> list[list[PipelineConfig]]:
     """The sweep's cells, one row per n: ``cfg`` with the cell's alpha,
-    feedback-document count and tag. Building them checks the whole grid
-    and that ``cfg`` names qrels, so it needs no loaded input."""
+    feedback-document count and tag. Building them checks the whole grid,
+    that no two cells share a tag and so the same output files, and that
+    ``cfg`` names qrels, so it needs no loaded input."""
     if not cfg.qrels:
         raise ValueError("sweep needs qrels to report MAP")
     if not alphas or not ns:
         raise ValueError("sweep needs at least one alpha and one n")
-    return [[replace(cfg, alpha=a, tag=f"{cfg.tag}-a{a:g}-n{n}",
+    grid = [[replace(cfg, alpha=a, tag=f"{cfg.tag}-a{a:g}-n{n}",
                      feedback=replace(cfg.feedback, num_docs=n)) for a in alphas]
             for n in ns]
+    tags = [cell.tag for cells in grid for cell in cells]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise ValueError(f"sweep cells share the tag {tag!r}; give distinct alphas and ns")
+    return grid
 
 
-def sweep(ctx: ExperimentContext, cfg: PipelineConfig, alphas: list[float],
-          ns: list[int], outdir: str) -> str:
-    """Grid over (alpha, n); one run file per cell plus a MAP CSV.
+def sweep(ctx: ExperimentContext, grid: list[list[PipelineConfig]], outdir: str) -> str:
+    """Every cell of ``grid`` (from ``sweep_grid``) written to ``outdir`` as
+    the run file, diagnostics and manifest ``run_experiment`` writes for the
+    cell's config, plus ``sweep.csv`` with each cell's MAP.
 
-    The cells come from ``sweep_grid``, so the whole grid is checked before
-    any file is written or any topic runs. For each n the alpha-independent
-    artifacts (feedback sets, embedding spaces, projection, partner model)
-    are built once per topic, at the smallest alpha, and shared by the
-    cells; each cell then ranks exactly as ``run_topic`` does.
+    Per row, the alpha-independent artifacts (feedback sets, embedding
+    spaces, projection, partner model) are built once per topic, at the
+    row's smallest alpha, and each cell ranks them with ``rank_topic``. So
+    an alpha-1 cell of a row whose smallest alpha is below 1 also lists the
+    ``partner_model`` stage, which its own run would not build.
     """
-    grid = sweep_grid(cfg, alphas, ns)
     os.makedirs(outdir, exist_ok=True)
+    inputs = _input_digests(grid[0][0])
     topics = sorted(ctx.topics, key=lambda t: t.topic_id)
     rows: list[tuple[float, int, float]] = []
     for cells in grid:
-        shared = replace(cells[0], alpha=min(alphas))
+        shared = min(cells, key=lambda cell: cell.alpha)
         prepared = [prepare_topic(ctx, topic, shared) for topic in topics]
         for cell in cells:
-            rankings: dict[str, RankedList] = {}
-            for topic, models in zip(topics, prepared):
-                tm = combine_models(models, cell)
-                rankings[topic.topic_id] = finish_topic(ctx, cell, models, tm)
-            run = RunFile(tag=cell.tag, rankings=rankings)
-            write_run(run, os.path.join(outdir, f"{cell.tag}.run"))
-            report = evaluate_run(run, ctx.qrels, depth=cell.depth)
+            ranked = [rank_topic(ctx, cell, models) for models in prepared]
+            result = _write_run_dir(outdir, cell, inputs, ranked)
+            report = evaluate_run(result.run, ctx.qrels, depth=cell.depth)
             rows.append((cell.alpha, cell.feedback.num_docs, report.map))
     csv_path = os.path.join(outdir, "sweep.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:

@@ -31,9 +31,8 @@ from clirkit.evaluation import (
 from clirkit.pipeline import (
     ExperimentContext,
     PipelineConfig,
-    combine_models,
-    finish_topic,
     prepare_topic,
+    rank_topic,
     run_experiment,
 )
 from clirkit.prf import FeedbackConfig, em_feedback, estimate_feedback_model
@@ -307,8 +306,7 @@ def test_c07_synthetic_end_to_end():
                         if choice is not None:
                             hits += int(choice == data.truth[term])
                             total += 1
-                tm = combine_models(models, cfg)
-                rankings[topic.topic_id] = finish_topic(ctx, cfg, models, tm)
+                rankings[topic.topic_id], _ = rank_topic(ctx, cfg, models)
             maps[method] = evaluate_run(RunFile(tag=method, rankings=rankings),
                                         ctx.qrels).map
             if method == "proj":
@@ -361,8 +359,7 @@ def test_c08_interpolation_endpoints(tmp_path):
         rankings = {}
         for topic in sorted(ctx.topics, key=lambda t: t.topic_id):
             models = prepare_topic(ctx, topic, replace(cfg, alpha=0.0))
-            tm = combine_models(models, replace(cfg, alpha=alpha))
-            rankings[topic.topic_id] = finish_topic(ctx, cfg, models, tm)
+            rankings[topic.topic_id], _ = rank_topic(ctx, replace(cfg, alpha=alpha), models)
         run = RunFile(tag=cfg.tag, rankings=rankings)
         path = str(tmp_path / outdir)
         write_run(run, path)

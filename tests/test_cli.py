@@ -174,10 +174,21 @@ def test_bad_sweep_grid_rejected_before_any_topic(workspace, capsys, monkeypatch
     out = workspace["root"] / "bad-grid"
     for config, alphas, ns, named in ((workspace["config"], "0.5,1.5", "5", "alpha"),
                                       (workspace["config"], "0.5", "5,0", "num_docs"),
-                                      (no_qrels, "0.5", "5", "qrels")):
+                                      (no_qrels, "0.5", "5", "qrels"),
+                                      (workspace["config"], "0.5,0.5", "5", "testrun-a0.5-n5"),
+                                      (workspace["config"], "0.5", "5,5", "testrun-a0.5-n5")):
         rc = main(["sweep", "--config", config, "--out", str(out),
                    "--alphas", alphas, "--ns", ns])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert not out.exists()
+    # a value that is not a number is a usage error naming its flag
+    for alphas, ns, named in (("0.5,x", "5", "--alphas"), ("0.5", "5,x", "--ns"),
+                              ("0.5", "5,", "--ns"), ("0.5", "2.5", "--ns")):
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--config", workspace["config"], "--out", str(out),
+                  "--alphas", alphas, "--ns", ns])
+        assert exit_.value.code == 2
+        assert f"argument {named}: " in capsys.readouterr().err
         assert not out.exists()

@@ -1,3 +1,4 @@
+import copy
 import filecmp
 import hashlib
 import json
@@ -8,19 +9,19 @@ import numpy as np
 import pytest
 
 from clirkit import pipeline
-from clirkit.corpus import Document, DuplicateDocIdError, ParseError
+from clirkit.corpus import BilingualDictionary, Document, DuplicateDocIdError, ParseError, Topic
 from clirkit.evaluation import evaluate_run, read_run
 from clirkit.pipeline import (
     ExperimentContext,
     PipelineConfig,
     PipelineStageError,
-    combine_models,
     derive_seed,
-    finish_topic,
     prepare_topic,
+    rank_topic,
     run_experiment,
     run_topic,
     sweep,
+    sweep_grid,
 )
 from clirkit.retrieval import InvertedIndex
 
@@ -147,7 +148,7 @@ class TestEndpoints:
         cfg = PipelineConfig.from_dict(
             {**small_config, "method": "proj", "alpha": 1.0, "tag": "pure"})
         direct = run_experiment(ctx, cfg, str(tmp_path / "direct"))
-        sweep(ctx, cfg, alphas=[1.0], ns=[cfg.feedback.num_docs], outdir=str(tmp_path / "grid"))
+        sweep(ctx, sweep_grid(cfg, [1.0], [cfg.feedback.num_docs]), str(tmp_path / "grid"))
         cell = read_run(str(tmp_path / "grid" / "pure-a1-n5.run"))
         assert cell.rankings == direct.run.rankings
 
@@ -181,7 +182,7 @@ class TestSweep:
     def test_cells_reevaluate_to_reported_map(self, small_config, tmp_path):
         ctx = make_ctx(small_config)
         cfg = PipelineConfig.from_dict({**small_config, "tag": "grid"})
-        csv_path = sweep(ctx, cfg, alphas=[0.0, 0.6], ns=[3, 5], outdir=str(tmp_path))
+        csv_path = sweep(ctx, sweep_grid(cfg, [0.0, 0.6], [3, 5]), str(tmp_path))
         rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
         assert len(rows) == 4
         for alpha, n, reported in rows:
@@ -193,8 +194,8 @@ class TestSweep:
     def test_empty_grid_rejected(self, small_config, tmp_path, alphas, ns):
         ctx = make_ctx(small_config)
         with pytest.raises(ValueError, match="at least one alpha and one n"):
-            sweep(ctx, PipelineConfig.from_dict(small_config), alphas, ns,
-                  outdir=str(tmp_path / "grid"))
+            sweep(ctx, sweep_grid(PipelineConfig.from_dict(small_config), alphas, ns),
+                  str(tmp_path / "grid"))
         assert not (tmp_path / "grid").exists()
 
     def test_alpha_one_grid_builds_no_partner(self, small_config, tmp_path, monkeypatch):
@@ -205,50 +206,101 @@ class TestSweep:
             raise AssertionError("partner model built for an alpha-1 grid")
 
         monkeypatch.setattr(pipeline, "cooccur_model", cooccur_model)
-        csv_path = sweep(ctx, cfg, alphas=[1.0], ns=[3], outdir=str(tmp_path))
+        csv_path = sweep(ctx, sweep_grid(cfg, [1.0], [3]), str(tmp_path))
         assert open(csv_path).read().startswith("alpha,n,map\n1,3,")
 
     def test_singleton_grid_equals_direct_run(self, small_config, tmp_path):
         ctx = make_ctx(small_config)
         cfg = PipelineConfig.from_dict({**small_config, "tag": "single"})
-        sweep(ctx, cfg, alphas=[cfg.alpha], ns=[cfg.feedback.num_docs],
-              outdir=str(tmp_path / "grid"))
+        sweep(ctx, sweep_grid(cfg, [cfg.alpha], [cfg.feedback.num_docs]),
+              str(tmp_path / "grid"))
         direct = run_experiment(ctx, cfg, str(tmp_path / "direct"))
         cell = read_run(str(tmp_path / "grid" / f"single-a{cfg.alpha:g}-n5.run"))
         assert cell.rankings == direct.run.rankings
 
+    def test_singleton_cell_is_the_run_directory_of_its_config(self, small_config, tmp_path):
+        ctx = make_ctx(small_config)
+        grid = sweep_grid(PipelineConfig.from_dict(small_config), [0.6], [3])
+        sweep(ctx, grid, str(tmp_path / "grid"))
+        direct = run_experiment(ctx, grid[0][0], str(tmp_path / "direct"))
+        for path in (direct.run_path, direct.diagnostics_path, direct.manifest_path):
+            name = os.path.basename(path)
+            assert name.startswith("testrun-a0.6-n3.")
+            assert filecmp.cmp(path, tmp_path / "grid" / name, shallow=False), name
+
+    def test_alpha_one_cell_of_a_mixed_row_lists_the_partner(self, small_config, tmp_path):
+        ctx = make_ctx(small_config)
+        sweep(ctx, sweep_grid(PipelineConfig.from_dict(small_config), [0.0, 1.0], [3]),
+              str(tmp_path))
+        for alpha in (0, 1):
+            diags = json.loads((tmp_path / f"testrun-a{alpha}-n3.diagnostics.json").read_text())
+            assert all("partner_model" in d["stages"] for d in diags), alpha
+
+    @pytest.mark.parametrize("alphas, ns, tag", [([0.6, 0.60000001], [5], "testrun-a0.6-n5"),
+                                                 ([0.5, 0.5], [5], "testrun-a0.5-n5"),
+                                                 ([0.5], [5, 5], "testrun-a0.5-n5")])
+    def test_cells_sharing_a_tag_rejected(self, small_config, tmp_path, alphas, ns, tag):
+        ctx = make_ctx(small_config)
+        with pytest.raises(ValueError, match=f"share the tag '{tag}'"):
+            sweep(ctx, sweep_grid(PipelineConfig.from_dict(small_config), alphas, ns),
+                  str(tmp_path / "grid"))
+        assert not (tmp_path / "grid").exists()
+
+
+class TestRankTopic:
+    def test_ranking_leaves_the_models_unchanged(self, small_config):
+        ctx = make_ctx(small_config)
+        topic = ctx.topics[0]
+        cfg = PipelineConfig.from_dict({**small_config, "alpha": 0.0})
+        models = prepare_topic(ctx, topic, cfg)
+        before = copy.deepcopy(models.diagnostics)
+        rank_topic(ctx, replace(cfg, alpha=0.6), models)
+        again = rank_topic(ctx, cfg, models)
+        assert models.diagnostics == before
+        assert again == run_topic(ctx, topic, cfg)
+
+
+def zero_pairs_setup(title_terms):
+    """A context with one topic of ``title_terms`` where ``proj`` finds no
+    translation pair: the only dictionary candidate occurs once in the
+    target collection, so min_count=2 keeps it out of the embedding
+    vocabulary and no translation pair survives."""
+    source = [Document(f"s{i}", ("q", "filler", "filler", "q")) for i in range(6)]
+    target = [Document("t0", ("c", "tfiller", "tfiller"))]
+    target += [Document(f"t{i}", ("tfiller",) * 4) for i in range(1, 6)]
+    ctx = ExperimentContext(
+        src_index=InvertedIndex.from_documents(source),
+        tgt_index=InvertedIndex.from_documents(target),
+        dictionary=BilingualDictionary(entries={"q": ("c",)}),
+        topics=[Topic("t1", title_terms)],
+    )
+    cfg = PipelineConfig.from_dict({
+        "method": "proj", "alpha": 0.6, "depth": 5, "seed": 1,
+        "feedback": {"num_docs": 3, "num_terms": 5, "interp_coeff": 0.5},
+        "sgns": {"window": 2, "negatives": 2, "dim": 4, "epochs": 2,
+                 "learning_rate": 0.02, "min_count": 2},
+        "projection": {"eta": 0.02, "epochs": 5, "decay": 0.98},
+    })
+    return ctx, cfg
+
 
 class TestFallbacks:
     def test_zero_pairs_fall_back_to_partner(self, small_corpus_dir):
-        # the only dictionary candidate occurs once in the target collection,
-        # so min_count=2 keeps it out of the embedding vocabulary and no
-        # translation pair survives
-        from clirkit.corpus import BilingualDictionary, Topic
-
-        source = [Document(f"s{i}", ("q", "filler", "filler", "q")) for i in range(6)]
-        target = [Document("t0", ("c", "tfiller", "tfiller"))]
-        target += [Document(f"t{i}", ("tfiller",) * 4) for i in range(1, 6)]
-        ctx = ExperimentContext(
-            src_index=InvertedIndex.from_documents(source),
-            tgt_index=InvertedIndex.from_documents(target),
-            dictionary=BilingualDictionary(entries={"q": ("c",)}),
-            topics=[Topic("t1", ("q",))],
-        )
-        cfg = PipelineConfig.from_dict({
-            "method": "proj", "alpha": 0.6, "depth": 5, "seed": 1,
-            "feedback": {"num_docs": 3, "num_terms": 5, "interp_coeff": 0.5},
-            "sgns": {"window": 2, "negatives": 2, "dim": 4, "epochs": 2,
-                     "learning_rate": 0.02, "min_count": 2},
-            "projection": {"eta": 0.02, "epochs": 5, "decay": 0.98},
-        })
+        ctx, cfg = zero_pairs_setup(("q",))
         models = prepare_topic(ctx, ctx.topics[0], cfg)
         assert models.primary is None
         assert any(f.startswith("zero_pairs") for f in models.diagnostics.flags)
-        tm = combine_models(models, cfg)
-        assert "partner_only" in models.diagnostics.flags
-        assert dict(tm.table["q"]) == {"c": 1.0}
-        ranked = finish_topic(ctx, cfg, models, tm)
+        ranked, diag = rank_topic(ctx, cfg, models)
+        assert "partner_only" in diag.flags
+        assert dict(models.partner.table["q"]) == {"c": 1.0}
         assert ranked
+
+    def test_partner_only_topic_reports_dropped_terms(self):
+        ctx, cfg = zero_pairs_setup(("q", "zz"))
+        _, proj = run_topic(ctx, ctx.topics[0], cfg)
+        _, cooccur = run_topic(ctx, ctx.topics[0], replace(cfg, method="cooccur"))
+        assert proj.flags == ["zero_pairs:no_overlap", "partner_only"]
+        assert proj.dropped_terms == cooccur.dropped_terms == ["zz"]
 
     def test_stage_error_carries_stage_name(self, small_corpus_dir, tmp_path):
         # a dictionary that covers no query term breaks the initial translation
