@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from clirkit.corpus import parse_qrels
 from clirkit.evaluation import evaluate_run, paired_ttest, read_run
@@ -18,11 +19,9 @@ from clirkit.synth import SynthConfig, generate
 
 
 def _cmd_synth(args) -> int:
-    cfg = SynthConfig(vocab_size=args.vocab_size, num_topics=args.num_topics,
-                      docs_per_lang=args.docs_per_lang, doc_len=args.doc_len,
-                      confusers_per_entry=args.confusers, topicality=args.topicality,
-                      seed=args.seed, query_len=args.query_len)
-    data = generate(cfg)
+    # only the flags given are set, so every default is SynthConfig's
+    data = generate(SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)
+                                   if hasattr(args, f.name)}))
     paths = data.write(args.out)
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
@@ -99,16 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="cross-language retrieval toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a paired synthetic corpus")
+    p = sub.add_parser("synth", help="generate a paired synthetic corpus",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--vocab-size", type=int, default=500)
-    p.add_argument("--num-topics", type=int, default=8)
-    p.add_argument("--docs-per-lang", type=int, default=400)
-    p.add_argument("--doc-len", type=int, default=100)
-    p.add_argument("--confusers", type=int, default=3)
-    p.add_argument("--topicality", type=float, default=0.8)
-    p.add_argument("--query-len", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--vocab-size", type=int)
+    p.add_argument("--num-topics", type=int)
+    p.add_argument("--docs-per-lang", type=int)
+    p.add_argument("--doc-len", type=int)
+    p.add_argument("--confusers", type=int, dest="confusers_per_entry")
+    p.add_argument("--topicality", type=float)
+    p.add_argument("--query-len", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("run", help="run the translation pipeline over all topics")

@@ -1,9 +1,9 @@
 """Run files, MAP / P@k scoring, and paired significance testing.
 
 Run files use the 6-column TREC format `topic Q0 doc rank score tag`.
-The paired t-test computes its two-tailed p-value from the Student-t CDF
-via the regularized incomplete beta function (continued-fraction
-evaluation), so no statistics library is needed at runtime.
+The paired t-test has an integer number of degrees of freedom, so its
+two-tailed p-value is a finite sum (Abramowitz & Stegun 26.7.3/26.7.4)
+and no statistics library is needed at runtime.
 """
 
 from __future__ import annotations
@@ -122,61 +122,36 @@ def paired_ttest(ap_a: list[float], ap_b: list[float]) -> TTestResult:
             return TTestResult(t=0.0, p=1.0, zero_variance=True)
         return TTestResult(t=math.copysign(math.inf, mean), p=0.0, zero_variance=True)
     t = mean / math.sqrt(var / n)
-    dof = n - 1
-    p = betainc_regularized(dof / 2.0, 0.5, dof / (dof + t * t))
+    p = two_tailed_p(t, n - 1)
     return TTestResult(t=t, p=min(1.0, max(0.0, p)))
 
 
-def betainc_regularized(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) by continued fraction."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+def two_tailed_p(t: float, dof: int) -> float:
+    """P(|T| >= |t|) for Student's t with an integer ``dof`` >= 1, by the
+    finite series of Abramowitz & Stegun 26.7.3/26.7.4. With
+    theta = atan(|t| / sqrt(dof)) and c = cos^2 theta, it is
 
+        1 - sin theta * sum_{k < dof/2} c^k * (1*3*...*(2k-1)) / (2*4*...*2k)
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    # modified Lentz evaluation of the incomplete beta continued fraction
-    max_iter = 300
-    eps = 3e-16
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    for even ``dof``, and for odd ``dof``
+
+        1 - (2/pi) * (theta + sin theta * cos theta
+                      * sum_{k < (dof-1)/2} c^k * (2*4*...*2k) / (3*5*...*(2k+1))).
+    """
+    root = math.sqrt(dof)
+    hyp = math.hypot(t, root)
+    sin, cos = abs(t) / hyp, root / hyp
+    c = cos * cos
+    term, total = 1.0, 0.0
+    if dof % 2 == 0:
+        for k in range(dof // 2):
+            total += term
+            term *= c * (2 * k + 1) / (2 * k + 2)
+        return 1.0 - sin * total
+    for k in range((dof - 1) // 2):
+        total += term
+        term *= c * (2 * k + 2) / (2 * k + 3)
+    return 1.0 - 2.0 / math.pi * (math.atan2(abs(t), root) + sin * cos * total)
 
 
 def write_run(run: RunFile, path: str) -> None:

@@ -8,7 +8,8 @@ where c(w;F) counts term w in the feedback documents and p(w|C) is the
 collection model. E-step: t(w) = (1-noise)*theta(w) / ((1-noise)*theta(w)
 + noise*p(w|C)); M-step: theta(w) proportional to c(w;F)*t(w). Iteration
 starts from the maximum-likelihood model of the concatenated feedback
-documents and the log-likelihood never decreases.
+documents, the log-likelihood never decreases, and exactly ``em_iters``
+iterations run: there is no convergence test.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class FeedbackConfig:
     interp_coeff: float = 0.5
     noise: float = 0.5
     em_iters: int = 30
-    em_tol: float = 1e-6
 
     def __post_init__(self):
         check_field_types(self)
@@ -47,12 +47,12 @@ class FeedbackConfig:
 
 
 def em_feedback(counts: dict[str, int], background: dict[str, float],
-                noise: float, iters: int, tol: float) -> tuple[dict[str, float], list[float]]:
-    """Run the EM loop; returns (theta, per-iteration log-likelihoods)."""
+                noise: float, iters: int) -> tuple[dict[str, float], list[float]]:
+    """Run ``iters`` EM iterations, fewer only if the feedback component
+    loses all its mass; returns (theta, per-iteration log-likelihoods)."""
     total = sum(counts.values())
     theta = {w: c / total for w, c in counts.items()}
     history: list[float] = []
-    prev_ll = -math.inf
     for _ in range(iters):
         # E-step: responsibility of the feedback component for each term
         resp = {}
@@ -67,9 +67,6 @@ def em_feedback(counts: dict[str, int], background: dict[str, float],
         ll = sum(c * math.log(mixture) for w, c in counts.items()
                  if (mixture := (1.0 - noise) * theta[w] + noise * background.get(w, 0.0)) > 0.0)
         history.append(ll)
-        if ll - prev_ll < tol and prev_ll != -math.inf:
-            break
-        prev_ll = ll
     return theta, history
 
 
@@ -89,8 +86,7 @@ def estimate_feedback_model(feedback_docs: Sequence[Document],
     if not counts:
         raise ValueError("all feedback documents are empty")
     background = {w: index.collection_prob(w) for w in counts}
-    theta, _ = em_feedback(dict(counts), background, cfg.noise,
-                           cfg.em_iters, cfg.em_tol)
+    theta, _ = em_feedback(dict(counts), background, cfg.noise, cfg.em_iters)
     kept = sorted(theta.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.num_terms]
     return QueryModel(dict(kept))
 

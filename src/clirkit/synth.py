@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from clirkit.checks import check_field_types
 from clirkit.corpus import BilingualDictionary, Document, Topic
 
 
@@ -37,12 +38,18 @@ class SynthConfig:
     concentration: float = 0.6
 
     def __post_init__(self):
+        check_field_types(self)
+        for key in ("num_topics", "docs_per_lang", "doc_len", "query_len"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
         if self.vocab_size < self.num_topics:
             raise ValueError("vocab_size must be >= num_topics")
-        if self.confusers_per_entry >= self.vocab_size:
-            raise ValueError("confusers_per_entry must be below vocab_size")
+        if not 0 <= self.confusers_per_entry < self.vocab_size:
+            raise ValueError("confusers_per_entry must lie in [0, vocab_size)")
         if not 0.0 < self.topicality < 1.0:
             raise ValueError("topicality must lie in (0, 1)")
+        if self.concentration <= 0.0:
+            raise ValueError(f"concentration must be positive, got {self.concentration!r}")
 
 
 @dataclass

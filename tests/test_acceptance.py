@@ -264,7 +264,7 @@ def test_c06_prf_em_criteria():
         background = {w: float(p) for w, p in
                       zip(counts, rng.dirichlet(np.ones(vocab)))}
         _, history = em_feedback(counts, background, noise=float(rng.uniform(0.1, 0.9)),
-                                 iters=30, tol=-1.0)
+                                 iters=30)
         assert len(history) == 30
         for earlier, later in zip(history, history[1:]):
             assert later >= earlier - 1e-12
@@ -274,8 +274,7 @@ def test_c06_prf_em_criteria():
                 for i in range(5)]
         index = InvertedIndex.from_documents(docs)
         model = estimate_feedback_model(
-            docs, index, FeedbackConfig(noise=1e-12, em_iters=30, em_tol=0.0,
-                                        num_terms=10_000))
+            docs, index, FeedbackConfig(noise=1e-12, em_iters=30, num_terms=10_000))
         counts = Counter()
         for d in docs:
             counts.update(d.tokens)

@@ -1,11 +1,13 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from clirkit import pipeline
+from clirkit import cli, pipeline, synth
 from clirkit.cli import main
 from clirkit.pipeline import ExperimentContext, PipelineConfig
+from clirkit.synth import SynthConfig
 
 from conftest import small_config_dict, write_config
 
@@ -33,6 +35,35 @@ def workspace(tmp_path_factory):
 def test_synth_writes_all_files(workspace):
     for path in workspace["paths"].values():
         assert os.path.exists(path)
+
+
+def test_synth_defaults_are_synth_configs(monkeypatch, tmp_path):
+    made = []
+
+    def generate(cfg):
+        made.append(cfg)
+        return synth.generate(replace(cfg, vocab_size=8, num_topics=2, docs_per_lang=4,
+                                      doc_len=5))
+
+    monkeypatch.setattr(cli, "generate", generate)
+    assert main(["synth", "--out", str(tmp_path / "a")]) == 0
+    assert main(["synth", "--out", str(tmp_path / "b"), "--confusers", "2",
+                 "--topicality", "0.5", "--seed", "9"]) == 0
+    assert made == [SynthConfig(), SynthConfig(confusers_per_entry=2, topicality=0.5, seed=9)]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--num-topics", "0"), ("--docs-per-lang", "0"), ("--doc-len", "0"),
+    ("--query-len", "0"), ("--vocab-size", "-1"), ("--confusers", "-1"),
+    ("--topicality", "nan"),
+])
+def test_bad_synth_size_rejected(flag, value, capsys, tmp_path):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_eval_compare(workspace, capsys):
@@ -141,6 +172,12 @@ def test_bad_dictionary_reports_stage(workspace, capsys, tmp_path):
     ({"target_format": "xml"}, "target_format"),
     ({"source_normalization": {"stemmer": "snowball"}}, "stemmer"),
     ({"target_normalization": {"stemmer": "nope"}}, "stemmer"),
+    ({"feedback": {"em_tol": 1e-6}}, "em_tol"),
+    ({"mu": float("inf")}, "mu"),
+    ({"projection": {"eta": float("nan")}}, "eta"),
+    ({"projection": {"init_range": float("nan")}}, "init_range"),
+    ({"projection": {"init_range": float("inf")}}, "init_range"),
+    ({"sgns": {"learning_rate": float("inf")}}, "learning_rate"),
 ])
 def test_bad_config_rejected_before_loading(workspace, capsys, tmp_path, monkeypatch,
                                             override, named):

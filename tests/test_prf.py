@@ -43,7 +43,7 @@ class TestEstimateFeedbackModel:
         docs = make_collection(rng)
         index = InvertedIndex.from_documents(docs)
         feedback = docs[:5]
-        cfg = FeedbackConfig(noise=1e-12, em_iters=30, em_tol=0.0, num_terms=1000)
+        cfg = FeedbackConfig(noise=1e-12, em_iters=30, num_terms=1000)
         model = estimate_feedback_model(feedback, index, cfg)
         counts = {}
         for d in feedback:
@@ -59,6 +59,12 @@ class TestEstimateFeedbackModel:
         model = estimate_feedback_model(docs, index, FeedbackConfig())
         assert model.weights == {"only": 1.0}
 
+    def test_runs_every_iteration_after_convergence(self):
+        # the log-likelihood is constant from the first iteration on
+        theta, history = em_feedback({"only": 5}, {"only": 1.0}, noise=0.5, iters=30)
+        assert theta == {"only": 1.0}
+        assert len(history) == 30
+
     def test_matches_independent_em_oracle(self):
         rng = np.random.default_rng(9)
         docs = make_collection(rng)
@@ -69,7 +75,7 @@ class TestEstimateFeedbackModel:
             for t in d.tokens:
                 counts[t] = counts.get(t, 0) + 1
         background = {t: index.collection_prob(t) for t in counts}
-        theta, _ = em_feedback(counts, background, noise=0.5, iters=500, tol=-1.0)
+        theta, _ = em_feedback(counts, background, noise=0.5, iters=500)
         expected = oracle_em(counts, background, noise=0.5, iters=500)
         for term in counts:
             assert theta[term] == pytest.approx(expected[term], abs=1e-10)
@@ -85,7 +91,7 @@ class TestEstimateFeedbackModel:
                 for t in d.tokens:
                     counts[t] = counts.get(t, 0) + 1
             background = {t: index.collection_prob(t) for t in counts}
-            _, history = em_feedback(counts, background, noise=0.5, iters=30, tol=0.0)
+            _, history = em_feedback(counts, background, noise=0.5, iters=30)
             for earlier, later in zip(history, history[1:]):
                 assert later >= earlier - 1e-12
 

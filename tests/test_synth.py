@@ -31,6 +31,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(topicality=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_topics", 0), ("docs_per_lang", 0), ("doc_len", 0), ("query_len", 0),
+        ("concentration", 0.0), ("concentration", -1.0), ("concentration", float("nan")),
+        ("doc_len", 2.5),
+    ])
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(**{field: value})
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical_files(self, tmp_path):
