@@ -1,7 +1,8 @@
 """Document collections, topics, qrels, and bilingual dictionaries.
 
-Parsing is streaming and single-pass; parsed stores are plain immutable
-values safe to share across threads.
+Parsing is streaming and single-pass: a collection is read a line (jsonl)
+or a 64 KiB chunk (TREC SGML) at a time, never whole. Parsed stores are
+plain immutable values safe to share across threads.
 """
 
 from __future__ import annotations
@@ -211,15 +212,46 @@ _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.DOTALL)
 _TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL)
 
 
+_SGML_CHUNK = 1 << 16
+
+
 def _sgml_records(path: str) -> Iterator[tuple[int, bytes]]:
-    """Each ``<DOC>`` to its ``</DOC>``, or to the end of the file if none."""
+    """Each ``<DOC>`` to its ``</DOC>``, or to the end of the file if none.
+
+    The file is read ``_SGML_CHUNK`` bytes at a time. Between reads only the
+    open record is kept, or, between records, the bytes that may begin a
+    ``<DOC>`` split by the read.
+    """
+    buf = bytearray()  # the file from byte offset ``base`` on, as far as read
+    base = 0
+    start = -1  # index in ``buf`` of the open record's <DOC>, or -1
+    scan = 0  # index in ``buf`` where the next tag search begins
     with open(path, "rb") as fh:
-        data = fh.read()
-    pos = 0
-    while (start := data.find(b"<DOC>", pos)) >= 0:
-        end = data.find(b"</DOC>", start)
-        pos = len(data) if end < 0 else end + len(b"</DOC>")
-        yield start, data[start:pos]
+        for chunk in iter(lambda: fh.read(_SGML_CHUNK), b""):
+            buf += chunk
+            while True:
+                if start < 0:
+                    start = buf.find(b"<DOC>", scan)
+                    if start < 0:
+                        scan = max(scan, len(buf) - len(b"<DOC"))
+                        break
+                    scan = start
+                end = buf.find(b"</DOC>", scan)
+                if end < 0:
+                    scan = max(scan, len(buf) - len(b"</DOC"))
+                    break
+                scan = end + len(b"</DOC>")
+                yield base + start, bytes(buf[start:scan])
+                start = -1
+            # drop what precedes the open record, or the search position
+            cut = scan if start < 0 else start
+            del buf[:cut]
+            base += cut
+            scan -= cut
+            if start >= 0:
+                start = 0
+    if start >= 0:
+        yield base + start, bytes(buf[start:])
 
 
 def _sgml_fields(record: str) -> tuple[str, str]:

@@ -75,6 +75,8 @@ def precision_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
 def evaluate_run(run: RunFile, qrels: dict[str, set[str]],
                  depth: int = 1000) -> EvalReport:
     """Macro averages over all judged topics; missing topics score 0."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth!r}")
     per_topic: dict[str, dict[str, float]] = {}
     for topic in sorted(qrels):
         ranked = run.rankings.get(topic, [])[:depth]

@@ -9,9 +9,9 @@ mixture feedback in the target collection, and retrieve to depth.
 
 ``run_experiment`` writes a run directory: one run file plus diagnostics
 and a manifest of config, content hashes and numpy version. ``sweep``
-writes one for every cell of an (alpha, n) grid, reusing each row's
-alpha-independent models, so alpha-1 cells of a row with a smaller alpha
-also list the ``partner_model`` stage.
+writes the same run directory for every cell of an (alpha, n) grid,
+building each row's models once: no model depends on alpha, which only
+weighs the primary model against its ``cooccur`` partner when ranking.
 """
 
 from __future__ import annotations
@@ -149,6 +149,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         kwargs = _known_keys(cls, raw, "config")
         for key, sub in _SUBCONFIGS:
             if key in kwargs and isinstance(kwargs[key], dict):
@@ -243,8 +245,8 @@ class TopicModels:
 
 def prepare_topic(ctx: ExperimentContext, topic: Topic,
                   cfg: PipelineConfig) -> TopicModels:
-    """Stages up to translation-model construction; the partner model is
-    built when ``rank_topic`` at ``cfg.alpha`` needs it."""
+    """Stages up to translation-model construction. ``proj`` and ``mixed``
+    also build their ``cooccur`` partner, whatever ``cfg.alpha`` is."""
     diag = TopicDiagnostics(topic_id=topic.topic_id, method=cfg.method)
     terms = topic.query_terms(cfg.verbose_queries)
     n = cfg.feedback.num_docs
@@ -301,8 +303,7 @@ def prepare_topic(ctx: ExperimentContext, topic: Topic,
                                     cfg.cooccur_window)
 
     partner: TranslationModel | None = None
-    interpolating = cfg.method in ("proj", "mixed")
-    if interpolating and (cfg.alpha < 1.0 or primary is None):
+    if cfg.method in ("proj", "mixed"):
         with _stage(diag, "partner_model"):
             partner = cooccur_model(terms, ctx.dictionary, ctx.tgt_index,
                                     cfg.cooccur_window)
@@ -316,22 +317,17 @@ def prepare_topic(ctx: ExperimentContext, topic: Topic,
 
 def rank_topic(ctx: ExperimentContext, cfg: PipelineConfig,
                models: TopicModels) -> tuple[RankedList, TopicDiagnostics]:
-    """Pick the primary model, the partner alone, or their interpolation at
-    ``cfg.alpha``; translate the query, apply mixture feedback (off at
-    ``interp_coeff`` 0) and retrieve to depth. Stages and flags go on a copy
-    of ``models.diagnostics``, so ``models`` can be ranked at many alphas."""
+    """Rank with the partner alone if there is no primary model, the primary
+    alone if there is no partner, else their interpolation at ``cfg.alpha``;
+    translate the query, apply mixture feedback (off at ``interp_coeff`` 0)
+    and retrieve to depth. Stages and flags go on a copy of
+    ``models.diagnostics``, so ``models`` can be ranked at many alphas."""
     diag = copy.deepcopy(models.diagnostics)
     if models.primary is None:
-        if models.partner is None:
-            raise PipelineStageError("translation_model", diag.topic_id,
-                                     ValueError("no translation model could be built"))
         diag.flags.append("partner_only")
         tm = models.partner
-    elif cfg.method not in ("proj", "mixed") or cfg.alpha == 1.0:
-        tm = models.primary
     elif models.partner is None:
-        raise PipelineStageError("partner_model", diag.topic_id,
-                                 ValueError("interpolation requested but no partner model"))
+        tm = models.primary
     else:
         tm = interpolate_models(models.primary, models.partner, cfg.alpha)
     with _stage(diag, "query_translation"):
@@ -433,19 +429,17 @@ def sweep(ctx: ExperimentContext, grid: list[list[PipelineConfig]], outdir: str)
     the run file, diagnostics and manifest ``run_experiment`` writes for the
     cell's config, plus ``sweep.csv`` with each cell's MAP.
 
-    Per row, the alpha-independent artifacts (feedback sets, embedding
-    spaces, projection, partner model) are built once per topic, at the
-    row's smallest alpha, and each cell ranks them with ``rank_topic``. So
-    an alpha-1 cell of a row whose smallest alpha is below 1 also lists the
-    ``partner_model`` stage, which its own run would not build.
+    Per row, each topic's models (feedback sets, embedding spaces,
+    projection, primary and partner models) are built once, and each cell
+    ranks them with ``rank_topic``. They do not depend on alpha, so any
+    cell of the row can build them.
     """
     os.makedirs(outdir, exist_ok=True)
     inputs = _input_digests(grid[0][0])
     topics = sorted(ctx.topics, key=lambda t: t.topic_id)
     rows: list[tuple[float, int, float]] = []
     for cells in grid:
-        shared = min(cells, key=lambda cell: cell.alpha)
-        prepared = [prepare_topic(ctx, topic, shared) for topic in topics]
+        prepared = [prepare_topic(ctx, topic, cells[0]) for topic in topics]
         for cell in cells:
             ranked = [rank_topic(ctx, cell, models) for models in prepared]
             result = _write_run_dir(outdir, cell, inputs, ranked)

@@ -6,6 +6,7 @@ import pytest
 
 from clirkit import cli, pipeline, synth
 from clirkit.cli import main
+from clirkit.evaluation import RunFile, write_run
 from clirkit.pipeline import ExperimentContext, PipelineConfig
 from clirkit.synth import SynthConfig
 
@@ -195,6 +196,29 @@ def test_bad_config_rejected_before_loading(workspace, capsys, tmp_path, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, named", [("[1, 2]", "list"), ("5", "int"),
+                                         ("null", "NoneType"), ('"abc"', "str")])
+def test_config_that_is_not_an_object_rejected(capsys, tmp_path, text, named):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    with pytest.raises(ValueError, match=f"config must be a JSON object, got {named}$"):
+        PipelineConfig.from_file(str(config))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config must be a JSON object, got {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_depth_below_one_rejected_by_eval_and_compare(capsys, tmp_path, depth):
+    run, qrels = str(tmp_path / "t.run"), tmp_path / "qrels.txt"
+    write_run(RunFile(tag="t", rankings={"q1": [("d0", 2.0), ("d1", 1.0)]}), run)
+    qrels.write_text("q1 0 d1 1\n")
+    for argv in (["eval", "--run", run], ["compare", "--run-a", run, "--run-b", run]):
+        assert main(argv + ["--qrels", str(qrels), "--depth", depth]) == 1
+        assert capsys.readouterr().err == f"error: depth must be >= 1, got {depth}\n"
 
 
 def test_bad_sweep_grid_rejected_before_any_topic(workspace, capsys, monkeypatch, tmp_path):

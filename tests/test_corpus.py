@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clirkit import corpus
 from clirkit.corpus import (
     _TOKEN_RE,
     BilingualDictionary,
@@ -152,6 +153,51 @@ class TestParseTrecSgml:
             f"<DOC><DOCNO>d{i}</DOCNO><TEXT>tok{i} common</TEXT></DOC>" for i in range(n)))
         docs = list(load_documents(str(path), PLAIN))
         assert len(docs) == n
+
+    @pytest.mark.parametrize("chunk", [1, 4, 5, 6, 64])
+    def test_read_in_chunks_that_split_records_and_tags(self, tmp_path, monkeypatch, chunk):
+        records = [f"<DOC><DOCNO>d{i}</DOCNO><TEXT>tok{i} common</TEXT></DOC>".encode()
+                   for i in range(9)]
+        data = b"junk <DOC" + b"\n".join(records) + b"\n</DO"
+        path = tmp_path / "c.sgml"
+        path.write_bytes(data)
+        reads = []
+
+        class RecordingFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def read(self, size=-1):
+                reads.append(size)
+                return self.fh.read(size)
+
+        monkeypatch.setattr(corpus, "_SGML_CHUNK", chunk)
+        monkeypatch.setattr(corpus, "open", lambda p, mode: RecordingFile(open(p, mode)),
+                            raising=False)
+        assert list(corpus._sgml_records(str(path))) == [(data.index(r), r) for r in records]
+        assert set(reads) == {chunk}
+
+    @pytest.mark.parametrize("content", [
+        b"<DOC><DOCNO>d1</DOCNO><TEXT>a</TEXT></DOC>\n<DOC><DOCNO>d2</DOCNO><TEXT>b</TEXT>\n",
+        b"<DOC><DOCNO>d1</DOCNO><TEXT>a</TEXT></DOC><DOC><DOCNO>d2</DOCNO></DOC>",
+        b"<DOC><DOCNO>d1</DOCNO><TEXT>a</TEXT></DOC>\n<DOC><DOCNO>d2</DOCNO><TEXT>caf\xe9</TEXT>",
+    ])
+    def test_errors_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "c.sgml"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as whole:
+            list(parse_documents(str(path)))
+        monkeypatch.setattr(corpus, "_SGML_CHUNK", 3)
+        with pytest.raises(ParseError) as chunked:
+            list(parse_documents(str(path)))
+        assert str(chunked.value) == str(whole.value)
+        assert chunked.value.docs_parsed == 1
 
 
 class TestParseJsonl:

@@ -105,6 +105,12 @@ class TestEvaluateRun:
         qrels = {"q1": {"r1"}, "q2": set()}
         assert evaluate_run(run, qrels).map == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        run = RunFile(tag="t", rankings={"q1": ranked("r0", "r1")})
+        with pytest.raises(ValueError, match=r"\bdepth must be >= 1"):
+            evaluate_run(run, {"q1": {"r1"}}, depth=depth)
+
     def test_tsv_report(self, tmp_path):
         run = RunFile(tag="t", rankings={"q1": ranked("r1")})
         report = evaluate_run(run, {"q1": {"r1"}})

@@ -198,17 +198,6 @@ class TestSweep:
                   str(tmp_path / "grid"))
         assert not (tmp_path / "grid").exists()
 
-    def test_alpha_one_grid_builds_no_partner(self, small_config, tmp_path, monkeypatch):
-        ctx = make_ctx(small_config)
-        cfg = PipelineConfig.from_dict(small_config)
-
-        def cooccur_model(*args, **kwargs):
-            raise AssertionError("partner model built for an alpha-1 grid")
-
-        monkeypatch.setattr(pipeline, "cooccur_model", cooccur_model)
-        csv_path = sweep(ctx, sweep_grid(cfg, [1.0], [3]), str(tmp_path))
-        assert open(csv_path).read().startswith("alpha,n,map\n1,3,")
-
     def test_singleton_grid_equals_direct_run(self, small_config, tmp_path):
         ctx = make_ctx(small_config)
         cfg = PipelineConfig.from_dict({**small_config, "tag": "single"})
@@ -219,22 +208,19 @@ class TestSweep:
         assert cell.rankings == direct.run.rankings
 
     def test_singleton_cell_is_the_run_directory_of_its_config(self, small_config, tmp_path):
+        """Every cell, on its own, is the run directory ``run_experiment``
+        writes for the cell's config, alpha 0 and 1 included."""
         ctx = make_ctx(small_config)
-        grid = sweep_grid(PipelineConfig.from_dict(small_config), [0.6], [3])
+        grid = sweep_grid(PipelineConfig.from_dict(small_config), [0.0, 0.6, 1.0], [3, 5])
         sweep(ctx, grid, str(tmp_path / "grid"))
-        direct = run_experiment(ctx, grid[0][0], str(tmp_path / "direct"))
-        for path in (direct.run_path, direct.diagnostics_path, direct.manifest_path):
-            name = os.path.basename(path)
-            assert name.startswith("testrun-a0.6-n3.")
-            assert filecmp.cmp(path, tmp_path / "grid" / name, shallow=False), name
-
-    def test_alpha_one_cell_of_a_mixed_row_lists_the_partner(self, small_config, tmp_path):
-        ctx = make_ctx(small_config)
-        sweep(ctx, sweep_grid(PipelineConfig.from_dict(small_config), [0.0, 1.0], [3]),
-              str(tmp_path))
-        for alpha in (0, 1):
-            diags = json.loads((tmp_path / f"testrun-a{alpha}-n3.diagnostics.json").read_text())
-            assert all("partner_model" in d["stages"] for d in diags), alpha
+        for cell in (cell for cells in grid for cell in cells):
+            direct = run_experiment(ctx, cell, str(tmp_path / cell.tag))
+            for path in (direct.run_path, direct.diagnostics_path, direct.manifest_path):
+                name = os.path.basename(path)
+                assert name.startswith(f"{cell.tag}.")
+                assert filecmp.cmp(path, tmp_path / "grid" / name, shallow=False), name
+            diags = json.loads((tmp_path / "grid" / f"{cell.tag}.diagnostics.json").read_text())
+            assert all("partner_model" in d["stages"] for d in diags), cell.tag
 
     @pytest.mark.parametrize("alphas, ns, tag", [([0.6, 0.60000001], [5], "testrun-a0.6-n5"),
                                                  ([0.5, 0.5], [5], "testrun-a0.5-n5"),
@@ -248,6 +234,16 @@ class TestSweep:
 
 
 class TestRankTopic:
+    @pytest.mark.parametrize("method", ["proj", "mixed"])
+    def test_prepared_models_do_not_depend_on_alpha(self, small_config, method):
+        ctx = make_ctx(small_config)
+        cfg = PipelineConfig.from_dict({**small_config, "method": method})
+        models = [prepare_topic(ctx, ctx.topics[0], replace(cfg, alpha=alpha))
+                  for alpha in (0.0, 0.6, 1.0)]
+        assert models[0].partner is not None
+        assert "partner_model" in models[0].diagnostics.stages
+        assert models[1] == models[0] and models[2] == models[0]
+
     def test_ranking_leaves_the_models_unchanged(self, small_config):
         ctx = make_ctx(small_config)
         topic = ctx.topics[0]
