@@ -9,10 +9,16 @@ For each (center, context) pair within the window the trainer performs
 one positive update and ``negatives`` negative updates of the logistic
 objective. Pairs are processed in batches whose size is a deterministic
 function of the vocabulary: gradients inside a batch are taken against
-the parameters at the batch start and accumulated exactly (duplicate
-rows sum their contributions), so results are reproducible bit for bit
-given a seed. Negatives are drawn from the unigram distribution raised
-to 0.75. The learning rate decays linearly from ``learning_rate`` to
+the parameters at the batch start and accumulated exactly, so results
+are reproducible bit for bit given a seed. Pairs arrive center by
+center, so a batch holds few distinct center words. Each batch sums its
+pairs' logistic coefficients into a dense (distinct centers x
+vocabulary) matrix, one row per center word and one column per target
+word (context or negative; a target drawn twice sums twice), and both
+updates are products with that matrix: the center rows move by
+``coef @ ctx`` and the context matrix by ``coef.T @ emb[centers]``.
+Negatives are drawn from the unigram distribution raised to 0.75. The
+learning rate decays linearly from ``learning_rate`` to
 ``learning_rate / 100`` across epochs.
 """
 
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,17 +77,6 @@ class EmbeddingTable:
         return None if i is None else self.vectors[i]
 
 
-def iter_window_pairs(token_ids: Sequence[int], window: int) -> Iterator[tuple[int, int]]:
-    """All (center, context) id pairs within ``window`` positions."""
-    n = len(token_ids)
-    for i in range(n):
-        lo = max(0, i - window)
-        hi = min(n, i + window + 1)
-        for j in range(lo, hi):
-            if j != i:
-                yield token_ids[i], token_ids[j]
-
-
 def negative_distribution(counts: Sequence[int]) -> np.ndarray:
     """Unigram distribution raised to 0.75, renormalized."""
     weights = np.asarray(counts, dtype=float) ** 0.75
@@ -93,8 +88,11 @@ def negative_table(counts: Sequence[int], size: int = 1_000_000) -> np.ndarray:
     0.75-power unigram distribution to one part in ``size``."""
     cum = np.cumsum(negative_distribution(counts))
     cum[-1] = 1.0
+    # Grid point (j + 0.5) / size goes to the first word whose cumulative
+    # probability reaches it, so word i owns the points in (cum[i-1], cum[i]].
     grid = (np.arange(size) + 0.5) / size
-    return np.searchsorted(cum, grid).astype(np.int32)
+    ends = np.searchsorted(grid, cum, side="right")
+    return np.repeat(np.arange(len(cum), dtype=np.int32), np.diff(ends, prepend=0))
 
 
 def build_vocab(docs: Sequence[Document], min_count: int) -> tuple[list[str], list[int]]:
@@ -140,13 +138,23 @@ def train_sgns_model(docs: Sequence[Document], cfg: SgnsConfig,
 
 
 def _enumerate_pairs(sequences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
-    centers: list[int] = []
-    contexts: list[int] = []
+    """Every (center, context) id pair within ``window`` positions of each
+    other, sequence by sequence, center position by center position, and
+    context positions ascending."""
+    centers: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
+    contexts: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
     for seq in sequences:
-        for c, t in iter_window_pairs(seq, window):
-            centers.append(c)
-            contexts.append(t)
-    return np.asarray(centers, dtype=np.intp), np.asarray(contexts, dtype=np.intp)
+        ids = np.asarray(seq, dtype=np.intp)
+        n = len(ids)
+        reach = min(window, n - 1)
+        if reach < 1:
+            continue
+        offsets = np.concatenate((np.arange(-reach, 0), np.arange(1, reach + 1)))
+        position = np.arange(n)[:, None] + offsets  # row i holds center i's contexts
+        inside = (position >= 0) & (position < n)
+        centers.append(np.repeat(ids, inside.sum(axis=1)))
+        contexts.append(ids[position[inside]])
+    return np.concatenate(centers), np.concatenate(contexts)
 
 
 # Pairs per update batch, a deterministic function of the input (it
@@ -161,31 +169,30 @@ def _batch_pairs(vsize: int, negatives: int) -> int:
 
 
 class _CenterRuns(NamedTuple):
-    """How the ``emb`` update groups each batch's pairs by center row.
+    """Which rows of ``emb`` each batch of ``batch`` consecutive pairs
+    updates.
 
-    Within every batch of ``batch`` consecutive pairs, ``order`` lists the
-    pair offsets stably sorted by center row, so each row's pairs form one
-    run in pair order; ``starts`` gives each run's first offset in that
-    order and ``rows`` its row. Batch i owns runs ``bounds[i]:bounds[i+1]``.
-    It depends on the centers only, so a fixed pair list builds it once.
+    Batch i updates the distinct center rows ``rows[bounds[i]:bounds[i+1]]``
+    (ascending within the batch), one row of the batch's coefficient
+    matrix each; ``run_of_pair[p]`` is the position of pair p's center row
+    among its batch's rows. It depends on the centers only, so a fixed pair
+    list builds it once.
     """
 
     batch: int
-    order: np.ndarray
-    starts: np.ndarray
     rows: np.ndarray
+    run_of_pair: np.ndarray
     bounds: list[int]
 
     @classmethod
     def build(cls, centers: np.ndarray, batch: int, vsize: int) -> "_CenterRuns":
-        position = np.arange(len(centers))
-        batch_of = position // batch
-        order = np.lexsort((centers, batch_of))
-        key = (batch_of * vsize + centers)[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1))
-        bounds = np.searchsorted(starts, np.arange(0, len(centers) + batch, batch))
-        return cls(batch=batch, order=order % batch, starts=starts % batch,
-                   rows=centers[order][starts], bounds=bounds.tolist())
+        batch_of = np.arange(len(centers)) // batch
+        keys, run = np.unique(batch_of * vsize + centers, return_inverse=True)
+        n_batches = -(-len(centers) // batch)
+        bounds = np.searchsorted(keys, np.arange(n_batches + 1) * vsize)
+        return cls(batch=batch, rows=keys % vsize,
+                   run_of_pair=run - bounds[batch_of],
+                   bounds=bounds.tolist())
 
 
 def _run_epoch(emb: np.ndarray, ctx: np.ndarray, centers: np.ndarray,
@@ -197,22 +204,20 @@ def _run_epoch(emb: np.ndarray, ctx: np.ndarray, centers: np.ndarray,
     batch = runs.batch
     ctx_t = ctx.T  # a view, so it follows the in-place updates of ctx
     # Each pair's (context, negatives) offsets into its batch's flattened
-    # (pairs x vocabulary) coefficient matrix, for the whole epoch at once.
+    # (center rows x vocabulary) coefficient matrix, for the whole epoch.
     flat_all = np.empty((n_pairs, k + 1), dtype=np.intp)
     flat_all[:, 0] = contexts
     flat_all[:, 1:] = negatives
-    flat_all += (np.arange(n_pairs) % batch)[:, None] * vsize
+    flat_all += runs.run_of_pair[:, None] * vsize
     flat_all = flat_all.reshape(-1)
     # Zero between batches: each batch adds its cells in and clears them after.
     coef_flat = np.zeros(batch * vsize)
     for i, start in enumerate(range(0, n_pairs, batch)):
         end = min(start + batch, n_pairs)
-        b = end - start
-        u_rows = emb[centers[start:end]]
-        # Aggregate the batch through a dense (pairs x vocabulary)
-        # coefficient matrix and two matrix products.
+        rows = runs.rows[runs.bounds[i]:runs.bounds[i + 1]]
+        u = emb[rows]
         flat = flat_all[start * (k + 1):end * (k + 1)]
-        scores = (u_rows @ ctx_t).ravel()[flat]
+        scores = (u @ ctx_t).ravel()[flat]
         # (sigmoid(score) - label) * lr, with the sigmoid written without
         # overflow: 1 / (1 + e^-s) for s >= 0, else e^s / (1 + e^s); the
         # label is 1 for each pair's first target (its context word), else 0
@@ -221,15 +226,14 @@ def _run_epoch(emb: np.ndarray, ctx: np.ndarray, centers: np.ndarray,
         g /= ex + 1.0
         g[::k + 1] -= 1.0
         g *= lr
+        # Sum every pair's coefficients into its center row, so the
+        # products below run over the batch's distinct rows, not its pairs.
         np.add.at(coef_flat, flat, g)
-        coef = coef_flat[:b * vsize].reshape(b, vsize)
+        coef = coef_flat[:len(rows) * vsize].reshape(len(rows), vsize)
         grad_u = coef @ ctx
-        ctx -= coef.T @ u_rows
+        ctx -= coef.T @ u
         coef_flat[flat] = 0.0
-        # emb[centers] -= grad_u, summing each row's grads in pair order
-        lo, hi = runs.bounds[i], runs.bounds[i + 1]
-        emb[runs.rows[lo:hi]] -= np.add.reduceat(
-            grad_u[runs.order[start:end]], runs.starts[lo:hi], axis=0)
+        emb[rows] -= grad_u  # rows are distinct, so no update is lost
 
 
 def train_sgns(docs: Sequence[Document], cfg: SgnsConfig, seed: int) -> EmbeddingTable:

@@ -93,9 +93,11 @@ def test_run_eval_compare(workspace, capsys):
     assert "paired t-test" in out and "p =" in out
 
 
-def test_run_writes_manifest(workspace):
-    root = workspace["root"]
-    manifest = json.loads((root / "uni" / "uni.manifest.json").read_text())
+def test_run_writes_manifest(workspace, tmp_path):
+    rc = main(["run", "--config", workspace["config"], "--out", str(tmp_path / "uni"),
+               "--method", "uniform", "--tag", "uni"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "uni" / "uni.manifest.json").read_text())
     assert manifest["config"]["method"] == "uniform"
 
 

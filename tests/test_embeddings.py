@@ -5,13 +5,36 @@ from scipy.special import expit as sigmoid
 from clirkit.corpus import Document
 from clirkit.embeddings import (
     SgnsConfig,
+    _CenterRuns,
+    _enumerate_pairs,
+    _run_epoch,
     build_vocab,
-    iter_window_pairs,
     negative_distribution,
     negative_table,
     train_sgns,
     train_sgns_model,
 )
+
+
+def window_pairs_reference(sequences, window):
+    """(center, context) id pairs by a plain loop over positions."""
+    centers, contexts = [], []
+    for seq in sequences:
+        n = len(seq)
+        for i in range(n):
+            for j in range(max(0, i - window), min(n, i + window + 1)):
+                if j != i:
+                    centers.append(seq[i])
+                    contexts.append(seq[j])
+    return centers, contexts
+
+
+def negative_table_reference(counts, size):
+    """Each grid point (j + 0.5) / size looked up in the cumulative
+    distribution."""
+    cum = np.cumsum(negative_distribution(counts))
+    cum[-1] = 1.0
+    return np.searchsorted(cum, (np.arange(size) + 0.5) / size).astype(np.int32)
 
 
 class TestNegativeSampling:
@@ -29,6 +52,15 @@ class TestNegativeSampling:
         freqs = np.bincount(draws, minlength=3) / len(draws)
         np.testing.assert_allclose(freqs, negative_distribution(counts), atol=5e-3)
 
+    def test_table_matches_grid_lookup(self):
+        rng = np.random.default_rng(2)
+        for size in (1, 7, 1000, 1_000_000):
+            for _ in range(10):
+                counts = rng.integers(1, 1000, size=int(rng.integers(1, 400))).tolist()
+                table = negative_table(counts, size=size)
+                assert table.dtype == np.int32
+                np.testing.assert_array_equal(table, negative_table_reference(counts, size))
+
 
 class TestWindow:
     def test_pairs_stay_inside_window(self):
@@ -36,14 +68,26 @@ class TestWindow:
         for _ in range(20):
             n = int(rng.integers(1, 40))
             window = int(rng.integers(1, 12))
-            positions = list(range(n))
-            for center, context in iter_window_pairs(positions, window):
-                assert center != context
-                assert abs(center - context) <= window
+            centers, contexts = _enumerate_pairs([list(range(n))], window)
+            assert np.all(centers != contexts)
+            assert np.all(np.abs(centers - contexts) <= window)
 
     def test_every_in_window_pair_emitted(self):
-        pairs = set(iter_window_pairs([0, 1, 2], 2))
-        assert pairs == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
+        centers, contexts = _enumerate_pairs([[0, 1, 2]], 2)
+        assert set(zip(centers.tolist(), contexts.tolist())) == {
+            (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
+
+    def test_matches_loop_in_order(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            sequences = [rng.integers(0, 8, size=int(rng.integers(0, 30))).tolist()
+                         for _ in range(int(rng.integers(0, 5)))]
+            window = int(rng.integers(1, 35))
+            centers, contexts = _enumerate_pairs(sequences, window)
+            want_centers, want_contexts = window_pairs_reference(sequences, window)
+            assert centers.dtype == contexts.dtype == np.intp
+            assert centers.tolist() == want_centers
+            assert contexts.tolist() == want_contexts
 
 
 class TestVocab:
@@ -101,3 +145,49 @@ class TestTraining:
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(ValueError):
             train_sgns([Document("d1", ("a",))], SgnsConfig(min_count=5, epochs=1), 0)
+
+
+class TestBatchUpdate:
+    """``_run_epoch`` against a pair-by-pair loop that takes every gradient
+    at the batch-start parameters and sums them."""
+
+    @staticmethod
+    def reference_epoch(emb, ctx, centers, contexts, negatives, batch, lr):
+        for start in range(0, len(centers), batch):
+            emb0, ctx0 = emb.copy(), ctx.copy()
+            for p in range(start, min(start + batch, len(centers))):
+                c = centers[p]
+                targets = [contexts[p], *negatives[p]]
+                for t, label in zip(targets, [1.0] + [0.0] * len(negatives[p])):
+                    g = lr * (1.0 / (1.0 + np.exp(-(emb0[c] @ ctx0[t]))) - label)
+                    emb[c] -= g * ctx0[t]
+                    ctx[t] -= g * emb0[c]
+
+    def test_matches_pairwise_loop(self):
+        sequences = [[0, 1, 0, 2, 3, 0, 4, 5, 6, 2, 1]]
+        vsize, dim, k, batch = 7, 4, 3, 8
+        centers, contexts = _enumerate_pairs(sequences, 2)
+        runs = _CenterRuns.build(centers, batch, vsize)
+        # center 0 twice in the first batch, apart; its second run crosses
+        # into the next batch
+        assert centers[:batch].tolist() == [0, 0, 1, 1, 1, 0, 0, 0]
+        assert centers[batch] == 0
+        for i, start in enumerate(range(0, len(centers), batch)):
+            rows = runs.rows[runs.bounds[i]:runs.bounds[i + 1]]
+            # emb[rows] -= grad drops all but one update to a repeated row
+            assert len(set(rows.tolist())) == len(rows)
+            pair_rows = rows[runs.run_of_pair[start:start + batch]]
+            np.testing.assert_array_equal(pair_rows, centers[start:start + batch])
+
+        rng = np.random.default_rng(4)
+        emb = (rng.random((vsize, dim)) - 0.5) / dim
+        ctx = (rng.random((vsize, dim)) - 0.5) / dim
+        want_emb, want_ctx = emb.copy(), ctx.copy()
+        for lr in (0.5, 0.3, 0.1):
+            negatives = rng.integers(0, vsize, size=(len(centers), k))
+            negatives[0] = [contexts[0], 5, 5]  # own context, then a repeat
+            _run_epoch(emb, ctx, centers, contexts, negatives, runs, lr)
+            self.reference_epoch(want_emb, want_ctx, centers, contexts, negatives,
+                                 batch, lr)
+        np.testing.assert_allclose(emb, want_emb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ctx, want_ctx, rtol=0, atol=1e-12)
